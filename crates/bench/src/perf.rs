@@ -5,11 +5,14 @@
 //! This is the library form of the `perf_report` binary; the `iolb bench`
 //! CLI subcommand drives the same code.
 //!
-//! Each kernel is analysed in its **own engine session** (fresh cache, fresh
-//! counters), so its row — wall-clock, operation counts and cache hit rates
-//! — is an attributable cost, not a function of which kernels happened to
-//! run before it. The JSON records the per-session cache hit rates per
-//! kernel and the summed counters for the whole suite.
+//! Each kernel is analysed [`SAMPLES`] times, every sample in its **own
+//! engine session** (fresh cache, fresh counters), so its row — wall-clock,
+//! operation counts and cache hit rates — is an attributable cost, not a
+//! function of which kernels happened to run before it. A row records the
+//! median and the minimum of its samples; the suite figure is the sum of
+//! the medians, so one noisy sample cannot move it. The JSON records the
+//! per-session cache hit rates per kernel and the summed counters for the
+//! whole suite.
 
 use crate::{evaluate_kernel, KernelRow};
 use iolb_core::Analyzer;
@@ -17,16 +20,22 @@ use iolb_poly::stats::Snapshot;
 use std::fmt::Write as _;
 use std::time::Instant;
 
+/// Cold samples taken per kernel, each in a fresh session.
+pub const SAMPLES: usize = 5;
+
 /// One kernel's perf row.
 pub struct PerfRow {
     /// Kernel name.
     pub name: String,
-    /// Wall-clock seconds for the kernel's whole request: session setup,
-    /// in-session workload preparation (rebuilding the kernel's DFG from
-    /// its ISL-notation sources), and the analysis itself — the cost a
-    /// service would pay to serve the kernel cold.
+    /// Median over [`SAMPLES`] cold runs of the wall-clock seconds for the
+    /// kernel's whole request: session setup, in-session workload
+    /// preparation (rebuilding the kernel's DFG from its ISL-notation
+    /// sources), and the analysis itself — the cost a service would pay to
+    /// serve the kernel cold.
     pub seconds: f64,
-    /// The session's engine counters after the run.
+    /// The fastest of the samples.
+    pub min_seconds: f64,
+    /// The first sample's engine counters after the run.
     pub stats: Snapshot,
     /// Memoized query results resident in the session after the run.
     pub cache_entries: usize,
@@ -36,7 +45,7 @@ pub struct PerfRow {
 pub struct PerfRun {
     /// Per-kernel rows, in suite order.
     pub rows: Vec<PerfRow>,
-    /// Whole-run wall-clock in seconds.
+    /// Sum of the per-kernel median seconds.
     pub total_seconds: f64,
     /// Engine-operation counters summed over every per-kernel session.
     pub counters: Vec<(&'static str, u64)>,
@@ -72,21 +81,34 @@ pub fn run(filter: &[String]) -> PerfRun {
     let full_suite = filter.is_empty();
     let mut rows: Vec<PerfRow> = Vec::new();
 
-    let suite_start = Instant::now();
     for kernel in kernels {
-        let start = Instant::now();
-        let row: KernelRow = evaluate_kernel(&kernel);
-        let secs = start.elapsed().as_secs_f64();
+        let mut first: Option<KernelRow> = None;
+        let mut samples: Vec<f64> = (0..SAMPLES)
+            .map(|_| {
+                let start = Instant::now();
+                let row = evaluate_kernel(&kernel);
+                let secs = start.elapsed().as_secs_f64();
+                first.get_or_insert(row);
+                secs
+            })
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        let (median, min) = (samples[SAMPLES / 2], samples[0]);
+        let row = first.expect("at least one sample");
         let oi = row.our_oi_up.unwrap_or(f64::NAN);
-        println!("{:<18} {:>8.3}s  OI_up = {:.2}", kernel.name, secs, oi);
+        println!(
+            "{:<18} {median:>8.3}s (min {min:.3}s)  OI_up = {oi:.2}",
+            kernel.name
+        );
         rows.push(PerfRow {
             name: kernel.name.to_string(),
-            seconds: secs,
+            seconds: median,
+            min_seconds: min,
             stats: row.stats,
             cache_entries: row.cache_entries,
         });
     }
-    let total_seconds = suite_start.elapsed().as_secs_f64();
+    let total_seconds: f64 = rows.iter().map(|row| row.seconds).sum();
 
     // The serving layer under load (full-suite runs only; a filtered run
     // is a quick look at specific kernels, not a service measurement).
@@ -136,15 +158,11 @@ pub fn run(filter: &[String]) -> PerfRun {
     };
 
     // Suite totals: sum of the per-session counters.
-    let mut totals: Vec<(&'static str, u64)> = Vec::new();
+    let mut summed = Snapshot::default();
     for row in &rows {
-        for (i, (key, value)) in row.stats.as_pairs().into_iter().enumerate() {
-            if totals.len() <= i {
-                totals.push((key, 0));
-            }
-            totals[i].1 += value;
-        }
+        summed.accumulate(&row.stats);
     }
+    let totals = summed.as_pairs();
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -152,12 +170,14 @@ pub fn run(filter: &[String]) -> PerfRun {
     json.push_str(
         "  \"per_kernel_cache\": \"cold (each kernel runs in its own engine session)\",\n",
     );
+    let _ = writeln!(json, "  \"samples_per_kernel\": {SAMPLES},");
     let _ = writeln!(json, "  \"kernel_count\": {},", rows.len());
     json.push_str("  \"kernels\": {\n");
     for (i, row) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(json, "    \"{}\": {{", row.name);
         let _ = writeln!(json, "      \"seconds\": {:.6},", row.seconds);
+        let _ = writeln!(json, "      \"min_seconds\": {:.6},", row.min_seconds);
         for (key, rate) in row.stats.hit_rates() {
             match rate {
                 Some(rate) => {
@@ -206,7 +226,7 @@ pub fn run(filter: &[String]) -> PerfRun {
 /// runs only — a filtered run never overwrites the canonical record).
 pub fn report_and_write(run: &PerfRun) {
     println!(
-        "\nsuite wall-clock: {:.3}s over {} kernels",
+        "\nsuite wall-clock: {:.3}s (sum of per-kernel medians) over {} kernels",
         run.total_seconds,
         run.rows.len()
     );

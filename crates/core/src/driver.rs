@@ -16,6 +16,13 @@ use iolb_math::Lattice;
 use iolb_poly::{count, Context, EngineInterrupt, UnionSet};
 use iolb_symbol::Expr;
 
+/// Most subspaces a statement's kernel lattice may hold. A handful of reuse
+/// directions is enough for a tight exponent, and very large lattices make
+/// the exact-rational LP blow up (the analogue of the paper's
+/// projection-count time-out). The cap is also the closure's only
+/// termination guard: lattices generated by subspaces need not be finite.
+const LATTICE_MAX_MEMBERS: usize = 24;
+
 /// Configuration of the analysis.
 #[derive(Clone, Debug)]
 pub struct AnalysisOptions {
@@ -27,8 +34,6 @@ pub struct AnalysisOptions {
     pub ctx: Context,
     /// Path-generation budget.
     pub genpaths: GenPathsOptions,
-    /// Budget for the subgroup-lattice closure (Algorithm 2).
-    pub lattice_budget: usize,
     /// Maximum loop-parametrization depth explored (0 = only the global,
     /// unparametrized analysis; 1 also slices the outermost loop, …).
     pub max_parametrization_depth: usize,
@@ -53,7 +58,6 @@ impl Default for AnalysisOptions {
             instances: vec![Instance::from_pairs(&[("S", 512)])],
             ctx: Context::empty(),
             genpaths: GenPathsOptions::default(),
-            lattice_budget: 20_000,
             max_parametrization_depth: 1,
             gamma: (1, 4),
             max_rounds_per_statement: 3,
@@ -307,6 +311,7 @@ fn derive_candidates(
     stmt_name: &str,
 ) -> Vec<LowerBound> {
     let ctx = &options.ctx;
+    let engine = iolb_poly::EngineCtx::current();
     let mut candidates: Vec<LowerBound> = Vec::new();
     let Some(stmt) = dfg.node(stmt_name) else {
         return candidates;
@@ -349,28 +354,20 @@ fn derive_candidates(
             if !covers_gamma_fraction(&candidate_ds, &stmt.domain, ctx, options) {
                 continue;
             }
-            // Cap the lattice size: a handful of reuse directions is
-            // enough for a tight exponent, and very large lattices
-            // make the exact-rational LP blow up (the analogue of the
-            // paper's projection-count time-out).
-            let saved_lattice = lattice.clone();
-            match lattice.insert_closure(&p.kernel(), options.lattice_budget) {
-                Ok(true) => {
-                    if lattice.len() > 24 && !selected.is_empty() {
-                        lattice = saved_lattice;
-                        continue;
+            match lattice.insert_closure(&p.kernel(), LATTICE_MAX_MEMBERS) {
+                Ok(closed) => {
+                    engine.record_lattice_insertion(closed.steps, false);
+                    // A kernel already represented adds only an extra
+                    // projection with an existing kernel, which rarely
+                    // improves the interference coefficients: skip it.
+                    if closed.added > 0 {
+                        ds = candidate_ds;
+                        selected.push(p.clone());
                     }
-                    ds = candidate_ds;
-                    selected.push(p.clone());
                 }
-                Ok(false) => {
-                    // Kernel already represented: the path adds an
-                    // extra projection with an existing kernel; keep
-                    // it only if it could improve interference
-                    // coefficients (same-kernel duplicates rarely do).
-                }
-                Err(_) => {
-                    // Lattice budget exhausted: skip this path.
+                Err(refused) => {
+                    // The closure would outgrow the cap: skip this path.
+                    engine.record_lattice_insertion(refused.steps, true);
                 }
             }
         }

@@ -324,7 +324,7 @@ mod tests {
     fn build_lattice(paths: &[DfgPath]) -> Lattice {
         let dim = paths[0].relation.n_out();
         let kernels: Vec<Subspace> = paths.iter().map(|p| p.kernel()).collect();
-        let (lat, skipped) = Lattice::generate(dim, &kernels, 100_000);
+        let (lat, skipped) = Lattice::generate(dim, &kernels, 24);
         assert!(skipped.is_empty());
         lat
     }

@@ -35,7 +35,7 @@ pub mod simplex;
 pub mod subspace;
 
 pub use convex::{ExponentProblem, ExponentSolution};
-pub use lattice::{ClosureBudgetExceeded, Lattice};
+pub use lattice::{Closed, ClosureCapExceeded, Lattice};
 pub use matrix::Matrix;
 pub use rational::{gcd, lcm, rat, Rational, RationalOverflow};
 pub use simplex::{ConstraintOp, LinearConstraint, LinearProgram, LpResult};

@@ -336,6 +336,13 @@ impl EngineCtx {
         &self.stats
     }
 
+    /// Records one subgroup-lattice insertion in the session counters
+    /// (`LATTICE_STEPS`, `LATTICE_ABORTS`). The closure lives in `iolb-math`,
+    /// below the engine, so its caller reports the work.
+    pub fn record_lattice_insertion(&self, steps: usize, refused: bool) {
+        self.stats.record_lattice_insertion(steps as u64, refused)
+    }
+
     // --- budget facade ---------------------------------------------------
 
     /// Installs a per-request [`Budget`] on this session. Subsequent engine

@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! counters {
-    ($($(#[$doc:meta])* $NAME:ident / $field:ident / $bump:ident),+ $(,)?) => {
+    ($($(#[$doc:meta])* $NAME:ident / $field:ident $(/ $bump:ident)?),+ $(,)?) => {
         /// One session's operation counters (all relaxed atomics).
         #[derive(Default)]
         pub struct Counters {
@@ -26,12 +26,12 @@ macro_rules! counters {
                 Counters::default()
             }
 
-            $(
+            $($(
                 #[inline]
                 pub(crate) fn $bump(&self) {
                     self.$field.fetch_add(1, Ordering::Relaxed);
                 }
-            )+
+            )?)+
 
             /// Reads every counter (relaxed; values are advisory).
             pub fn snapshot(&self) -> Snapshot {
@@ -55,6 +55,12 @@ macro_rules! counters {
             /// The counters as `(name, value)` pairs, in declaration order.
             pub fn as_pairs(&self) -> Vec<(&'static str, u64)> {
                 vec![ $( (stringify!($NAME), self.$NAME), )+ ]
+            }
+
+            /// Adds `other`'s counts to `self` (summing sessions or
+            /// requests).
+            pub fn accumulate(&mut self, other: &Snapshot) {
+                $( self.$NAME += other.$NAME; )+
             }
 
             /// The counter increments between `earlier` and `self`
@@ -93,6 +99,23 @@ counters! {
     GREEDY_REORDERS / greedy_reorders / bump_greedy_reorder,
     /// Single-variable projections answered from the projection cache.
     PROJECTION_CACHE_HITS / projection_cache_hits / bump_projection_cache_hit,
+    /// Member pairs examined by subgroup-lattice closures (Algorithm 2).
+    /// No cache covers the closure, so warm runs count these too.
+    LATTICE_STEPS / lattice_steps,
+    /// Lattice insertions refused because their closure would exceed the
+    /// driver's member cap.
+    LATTICE_ABORTS / lattice_aborts / bump_lattice_abort,
+}
+
+impl Counters {
+    /// Records one subgroup-lattice insertion: the member pairs its closure
+    /// examined, and whether the member cap refused it.
+    pub(crate) fn record_lattice_insertion(&self, steps: u64, refused: bool) {
+        self.lattice_steps.fetch_add(steps, Ordering::Relaxed);
+        if refused {
+            self.bump_lattice_abort();
+        }
+    }
 }
 
 /// `hits / total`, or `None` when no query of the kind ran at all — a
@@ -200,7 +223,7 @@ mod tests {
         e.counters().bump_fm_elimination();
         assert_eq!(e.stats().FM_ELIMINATIONS, 2);
         let pairs = e.stats().as_pairs();
-        assert_eq!(pairs.len(), 11);
+        assert_eq!(pairs.len(), 13);
         assert!(pairs.iter().any(|(k, _)| *k == "FM_ELIMINATIONS"));
         e.reset_stats();
         assert_eq!(e.stats(), Snapshot::default());
@@ -220,6 +243,22 @@ mod tests {
         let d = b.delta_since(&a);
         assert_eq!(d.FM_ELIMINATIONS, 3);
         assert_eq!(d.COUNT_CALLS, 0, "saturates instead of wrapping");
+    }
+
+    #[test]
+    fn accumulate_sums_every_counter() {
+        let mut total = Snapshot {
+            LATTICE_STEPS: 5,
+            ..Snapshot::default()
+        };
+        total.accumulate(&Snapshot {
+            LATTICE_STEPS: 3,
+            LATTICE_ABORTS: 1,
+            ..Snapshot::default()
+        });
+        assert_eq!(total.LATTICE_STEPS, 8);
+        assert_eq!(total.LATTICE_ABORTS, 1);
+        assert_eq!(total.FM_ELIMINATIONS, 0);
     }
 
     #[test]

@@ -44,6 +44,7 @@ use iolb_core::{
     AnalyzeError, Analyzer, DiskTierConfig, Instance, ResultCache, ResultCacheConfig,
     TightnessOptions, Workload,
 };
+use iolb_poly::stats::Snapshot;
 use iolb_poly::{Budget, CancelToken, EngineConfig, EngineInterrupt};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -205,6 +206,9 @@ struct Metrics {
     service_hist: [[AtomicU64; HIST_BUCKETS]; 2],
     /// Per-class high-water marks of lane queue depth.
     queue_peak: [AtomicU64; 2],
+    /// Engine operation counters summed over every analysis that completed
+    /// (result-cache hits run no engine work and add nothing).
+    engine: Mutex<Snapshot>,
 }
 
 impl Metrics {
@@ -620,6 +624,14 @@ impl Server {
                 hist_percentile(&m.service_hist[i], 0.99),
             )
         };
+        let engine: Vec<String> = m
+            .engine
+            .lock()
+            .unwrap()
+            .as_pairs()
+            .into_iter()
+            .map(|(key, value)| format!("\"{}\":{value}", key.to_lowercase()))
+            .collect();
         format!(
             "{{\"id\":{id},\"status\":\"ok\",\"server_stats\":{{\
              \"workers\":{},\"queue_capacity\":{},\"queue_depth\":{},\"draining\":{},\
@@ -633,7 +645,8 @@ impl Server {
              \"evictions\":{},\"retired\":{}}},\
              \"result_cache\":{{\"enabled\":{},\"entries\":{},\"hits\":{},\"misses\":{},\
              \"inflight_coalesced\":{},\"disk_hits\":{},\"evictions\":{},\
-             \"disk_evictions\":{},\"disk_corrupt\":{},\"stores\":{},\"uncacheable\":{}}}}}}}",
+             \"disk_evictions\":{},\"disk_corrupt\":{},\"stores\":{},\"uncacheable\":{}}},\
+             \"engine\":{{{}}}}}}}",
             inner.config.workers,
             inner.config.queue_capacity,
             small_depth + large_depth,
@@ -674,6 +687,7 @@ impl Server {
             rc.disk_corrupt,
             rc.stores,
             rc.uncacheable,
+            engine.join(","),
         )
     }
 
@@ -1049,6 +1063,12 @@ fn execute(inner: &Inner, job: &Job, queue_ms: f64) -> String {
     let (response, interrupted) = match outcome {
         Ok(outcome) => {
             inner.metrics.completed.fetch_add(1, Ordering::Relaxed);
+            inner
+                .metrics
+                .engine
+                .lock()
+                .unwrap()
+                .accumulate(&outcome.stats);
             if job.simulate.is_some() && outcome.tightness.is_some() {
                 inner
                     .metrics
@@ -1395,7 +1415,7 @@ mod tests {
             workers: 1,
             ..ServerConfig::default()
         });
-        let _ = s.handle_line(r#"{"kernel": "gemm"}"#);
+        let reply = json::parse(&s.handle_line(r#"{"kernel": "gemm"}"#)).unwrap();
         let stats = s.handle_line(r#"{"op": "stats"}"#);
         let doc = json::parse(&stats).unwrap();
         let ss = doc.get("server_stats").unwrap();
@@ -1404,6 +1424,13 @@ mod tests {
         assert_eq!(ss.get("workers"), Some(&json::Json::Int(1)));
         let pool = ss.get("pool").unwrap();
         assert_eq!(pool.get("misses"), Some(&json::Json::Int(1)));
+        // The engine totals are the one analysis's engine_stats.
+        let request_stats = reply.get("report").unwrap().get("engine_stats").unwrap();
+        let engine = ss.get("engine").unwrap();
+        for key in ["fm_eliminations", "lattice_steps", "lattice_aborts"] {
+            assert_eq!(engine.get(key), request_stats.get(key), "{key}");
+        }
+        assert!(matches!(engine.get("lattice_steps"), Some(json::Json::Int(n)) if *n > 0));
         s.shutdown();
     }
 
@@ -1487,26 +1514,31 @@ mod tests {
     #[test]
     fn timed_out_requests_free_their_worker_within_a_small_multiple() {
         // Regression: before cooperative cancellation, a heat-3d-class
-        // request kept its worker busy for the full multi-second analysis
-        // after the client timed out. Now the timeout cancels the in-flight
-        // work at the next engine checkpoint, so the worker must be
-        // observably released within a small multiple of the 100 ms budget.
+        // request kept its worker busy for the full analysis (about a
+        // second in a debug build) after the client timed out. Now the
+        // timeout cancels the in-flight work at the next engine checkpoint,
+        // so the worker must be observably released long before that.
         let s = server(ServerConfig {
             workers: 1,
             ..ServerConfig::default()
         });
-        let response = s.handle_line(r#"{"id": "hot", "kernel": "heat-3d", "timeout_ms": 100}"#);
+        // A 4 ms budget: the engine's deadline (90% of it) trips before the
+        // compulsory-miss term — the first valid bound, proven about 8 ms
+        // into a debug-build heat-3d request — so no bound exists to
+        // degrade to. The client timeout (`timeout`) and the deadline
+        // (`resource_limit`) race, and either way the reply is an error.
+        let response = s.handle_line(r#"{"id": "hot", "kernel": "heat-3d", "timeout_ms": 4}"#);
         let doc = json::parse(&response).unwrap();
         let code = doc.get("error").unwrap().get("code").unwrap().as_str();
         assert!(
             code == Some(ERR_TIMEOUT) || code == Some(ERR_RESOURCE_LIMIT),
             "{response}"
         );
-        // Within 10× the budget, a stats probe (answered inline, no worker
-        // needed) must show the worker observed the cancellation: either
-        // mid-analysis (cancelled_in_flight / resource_limited / degraded)
-        // or at the reply (abandoned_completed).
-        let released_by = Instant::now() + Duration::from_millis(1000);
+        // Within a quarter of the full analysis, a stats probe (answered
+        // inline, no worker needed) must show the worker observed the
+        // cancellation: either mid-analysis (cancelled_in_flight /
+        // resource_limited / degraded) or at the reply (abandoned_completed).
+        let released_by = Instant::now() + Duration::from_millis(250);
         let released = loop {
             let stats = s.handle_line(r#"{"op": "stats"}"#);
             let doc = json::parse(&stats).unwrap();

@@ -17,7 +17,7 @@ fn ctx(params: &[&str]) -> Context {
 fn lattice_for(paths: &[iolb_dfg::DfgPath]) -> Lattice {
     let dim = paths[0].relation.n_out();
     let kernels: Vec<Subspace> = paths.iter().map(|p| p.kernel()).collect();
-    Lattice::generate(dim, &kernels, 100_000).0
+    Lattice::generate(dim, &kernels, 24).0
 }
 
 /// Appendix A: the K-partition bound for cholesky's update statement is

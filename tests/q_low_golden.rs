@@ -73,6 +73,9 @@ fn q_low_matches_the_golden_file_on_every_kernel_and_example() {
     );
     for ((name, q_low), (golden_name, golden_q_low)) in derived.iter().zip(&expected) {
         assert_eq!(name, golden_name, "workload order changed");
-        assert_eq!(q_low, golden_q_low, "{name}: q_low drifted from the golden file");
+        assert_eq!(
+            q_low, golden_q_low,
+            "{name}: q_low drifted from the golden file"
+        );
     }
 }
