@@ -4,8 +4,8 @@
 //! balance — classifying each kernel into the three scenarios of Sec. 8.2.
 //!
 //! Traces are generated at a scaled-down problem size with a proportionally
-//! scaled cache so the whole figure regenerates in seconds (see
-//! EXPERIMENTS.md); pass `--full` for larger instances.
+//! scaled cache so the whole figure regenerates in seconds; pass `--full`
+//! for larger instances.
 
 use iolb_bench::{evaluate_suite, MACHINE_BALANCE};
 use iolb_core::tightness::achieved_oi;

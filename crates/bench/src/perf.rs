@@ -16,8 +16,8 @@
 
 use crate::{evaluate_kernel, KernelRow};
 use iolb_core::Analyzer;
+use iolb_poly::json::Json;
 use iolb_poly::stats::Snapshot;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Cold samples taken per kernel, each in a fresh session.
@@ -164,52 +164,38 @@ pub fn run(filter: &[String]) -> PerfRun {
     }
     let totals = summed.as_pairs();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"suite_wall_clock_seconds\": {total_seconds:.6},");
-    json.push_str(
-        "  \"per_kernel_cache\": \"cold (each kernel runs in its own engine session)\",\n",
-    );
-    let _ = writeln!(json, "  \"samples_per_kernel\": {SAMPLES},");
-    let _ = writeln!(json, "  \"kernel_count\": {},", rows.len());
-    json.push_str("  \"kernels\": {\n");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(json, "    \"{}\": {{", row.name);
-        let _ = writeln!(json, "      \"seconds\": {:.6},", row.seconds);
-        let _ = writeln!(json, "      \"min_seconds\": {:.6},", row.min_seconds);
-        for (key, rate) in row.stats.hit_rates() {
-            match rate {
-                Some(rate) => {
-                    let _ = writeln!(json, "      \"{key}\": {rate:.6},");
-                }
-                None => {
-                    let _ = writeln!(json, "      \"{key}\": null,");
-                }
-            }
-        }
-        let _ = writeln!(json, "      \"cache_entries\": {}", row.cache_entries);
-        let _ = writeln!(json, "    }}{comma}");
-    }
-    json.push_str("  },\n");
+    let kernel = |row: &PerfRow| {
+        let mut fields = vec![
+            ("seconds", Json::from(row.seconds)),
+            ("min_seconds", Json::from(row.min_seconds)),
+        ];
+        let rates = row.stats.hit_rates().into_iter();
+        fields.extend(rates.map(|(key, rate)| (key, Json::from(rate))));
+        fields.push(("cache_entries", Json::from(row.cache_entries)));
+        (row.name.clone(), Json::obj(fields))
+    };
+    let mut doc = vec![
+        ("suite_wall_clock_seconds", Json::from(total_seconds)),
+        (
+            "per_kernel_cache",
+            Json::from("cold (each kernel runs in its own engine session)"),
+        ),
+        ("samples_per_kernel", Json::from(SAMPLES)),
+        ("kernel_count", Json::from(rows.len())),
+        ("kernels", Json::obj(rows.iter().map(kernel))),
+    ];
     if let Some(load) = &serve {
-        let _ = writeln!(json, "  \"serve_throughput\": {},", load.to_json_object());
+        doc.push(("serve_throughput", load.json()));
     }
     if !tightness.is_empty() {
-        json.push_str("  \"tightness\": {\n");
-        for (i, (name, ratio)) in tightness.iter().enumerate() {
-            let comma = if i + 1 < tightness.len() { "," } else { "" };
-            let _ = writeln!(json, "    \"{name}\": {ratio:.6}{comma}");
-        }
-        json.push_str("  },\n");
+        let ratios = tightness
+            .iter()
+            .map(|(name, r)| (name.as_str(), Json::from(*r)));
+        doc.push(("tightness", Json::obj(ratios)));
     }
-    json.push_str("  \"engine_counters\": {\n");
-    for (i, (key, value)) in totals.iter().enumerate() {
-        let comma = if i + 1 < totals.len() { "," } else { "" };
-        let _ = writeln!(json, "    \"{key}\": {value}{comma}");
-    }
-    json.push_str("  }\n");
-    json.push_str("}\n");
+    let counters = totals.iter().map(|&(key, value)| (key, Json::from(value)));
+    doc.push(("engine_counters", Json::obj(counters)));
+    let json = Json::obj(doc).render_pretty();
 
     PerfRun {
         rows,

@@ -9,6 +9,7 @@
 //! (queueing, session-pool reuse, response rendering), so regressions in
 //! either show up in the same file.
 
+use iolb_poly::json::{self, Json};
 use iolb_server::{Server, ServerConfig};
 use std::sync::Arc;
 use std::time::Instant;
@@ -64,43 +65,6 @@ pub struct ServeThroughput {
     pub small_queue_peak: u64,
     /// High-water mark of the large lane's queue depth.
     pub large_queue_peak: u64,
-}
-
-/// Reads one integer counter out of a `{"op": "stats"}` response line.
-fn stats_counter(stats_line: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\":");
-    let Some(at) = stats_line.find(&needle) else {
-        return 0;
-    };
-    stats_line[at + needle.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or(0)
-}
-
-/// Reads one integer counter out of the nested `"result_cache"` object of a
-/// stats line (the pool object reuses key names like `hits`, so the plain
-/// [`stats_counter`] would find the wrong one).
-fn result_cache_counter(stats_line: &str, key: &str) -> u64 {
-    match stats_line.find("\"result_cache\":") {
-        Some(at) => stats_counter(&stats_line[at..], key),
-        None => 0,
-    }
-}
-
-/// Reads one integer counter out of one lane object (`"small"` or
-/// `"large"`) of the stats line's `"lanes"` block.
-fn lane_counter(stats_line: &str, lane: &str, key: &str) -> u64 {
-    let Some(lanes_at) = stats_line.find("\"lanes\":") else {
-        return 0;
-    };
-    let tail = &stats_line[lanes_at..];
-    match tail.find(&format!("\"{lane}\":")) {
-        Some(at) => stats_counter(&tail[at..], key),
-        None => 0,
-    }
 }
 
 /// Nearest-rank percentile of an ascending-sorted latency sample.
@@ -204,14 +168,19 @@ pub fn run(clients: usize) -> ServeThroughput {
 
     // Robustness counters for the perf record: a healthy full-suite load
     // run reports zeroes; non-zero values flag budget/cancellation churn.
-    let stats_line = server.handle_line(r#"{"op": "stats"}"#);
-    let timeouts = stats_counter(&stats_line, "timeouts");
-    let cancelled_in_flight = stats_counter(&stats_line, "cancelled_in_flight");
-    let degraded = stats_counter(&stats_line, "degraded");
-    let rc_served = result_cache_counter(&stats_line, "hits")
-        + result_cache_counter(&stats_line, "inflight_coalesced")
-        + result_cache_counter(&stats_line, "disk_hits");
-    let rc_misses = result_cache_counter(&stats_line, "misses");
+    let stats = json::parse(&server.handle_line(r#"{"op": "stats"}"#)).expect("stats reply");
+    let counter = |path: &[&str]| {
+        path.iter()
+            .try_fold(stats.get("server_stats").expect("server_stats"), |v, k| {
+                v.get(k)
+            })
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("stats counter {path:?}"))
+    };
+    let rc_served = counter(&["result_cache", "hits"])
+        + counter(&["result_cache", "inflight_coalesced"])
+        + counter(&["result_cache", "disk_hits"]);
+    let rc_misses = counter(&["result_cache", "misses"]);
     let hit_rate = if rc_served + rc_misses > 0 {
         rc_served as f64 / (rc_served + rc_misses) as f64
     } else {
@@ -235,9 +204,9 @@ pub fn run(clients: usize) -> ServeThroughput {
         },
         p50_ms: percentile(&latencies_ms, 0.50),
         p99_ms: percentile(&latencies_ms, 0.99),
-        timeouts,
-        cancelled_in_flight,
-        degraded,
+        timeouts: counter(&["timeouts"]),
+        cancelled_in_flight: counter(&["cancelled_in_flight"]),
+        degraded: counter(&["degraded"]),
         cached_responses,
         hit_rate,
         hot_p50_ms: percentile(&hot_ms, 0.50),
@@ -245,48 +214,51 @@ pub fn run(clients: usize) -> ServeThroughput {
         small_p99_ms: percentile(&small_ms, 0.99),
         large_p50_ms: percentile(&large_ms, 0.50),
         large_p99_ms: percentile(&large_ms, 0.99),
-        small_queue_peak: lane_counter(&stats_line, "small", "queued_peak"),
-        large_queue_peak: lane_counter(&stats_line, "large", "queued_peak"),
+        small_queue_peak: counter(&["lanes", "small", "queued_peak"]),
+        large_queue_peak: counter(&["lanes", "large", "queued_peak"]),
     }
 }
 
 impl ServeThroughput {
-    /// The `serve_throughput` JSON object for `BENCH_analysis.json`
-    /// (indented to sit at the document's top level).
-    pub fn to_json_object(&self) -> String {
-        format!(
-            "{{\n    \"clients\": {},\n    \"requests\": {},\n    \"ok\": {},\n    \
-             \"errors\": {},\n    \"warm_responses\": {},\n    \
-             \"wall_clock_seconds\": {:.6},\n    \"requests_per_second\": {:.3},\n    \
-             \"p50_latency_ms\": {:.3},\n    \"p99_latency_ms\": {:.3},\n    \
-             \"timeouts\": {},\n    \"cancelled_in_flight\": {},\n    \
-             \"degraded\": {},\n    \"cached_responses\": {},\n    \
-             \"result_cache_hit_rate\": {:.3},\n    \"hot_p50_ms\": {:.4},\n    \
-             \"lanes\": {{\n      \
-             \"small\": {{ \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"queue_peak\": {} }},\n      \
-             \"large\": {{ \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"queue_peak\": {} }}\n    }}\n  }}",
-            self.clients,
-            self.requests,
-            self.ok,
-            self.errors,
-            self.warm,
-            self.seconds,
-            self.req_per_sec,
-            self.p50_ms,
-            self.p99_ms,
-            self.timeouts,
-            self.cancelled_in_flight,
-            self.degraded,
-            self.cached_responses,
-            self.hit_rate,
-            self.hot_p50_ms,
-            self.small_p50_ms,
-            self.small_p99_ms,
-            self.small_queue_peak,
-            self.large_p50_ms,
-            self.large_p99_ms,
-            self.large_queue_peak,
-        )
+    /// The `serve_throughput` object of `BENCH_analysis.json`.
+    pub fn json(&self) -> Json {
+        let lane = |p50: f64, p99: f64, peak: u64| {
+            Json::obj([
+                ("p50_ms", Json::from(p50)),
+                ("p99_ms", Json::from(p99)),
+                ("queue_peak", Json::from(peak)),
+            ])
+        };
+        Json::obj([
+            ("clients", Json::from(self.clients)),
+            ("requests", Json::from(self.requests)),
+            ("ok", Json::from(self.ok)),
+            ("errors", Json::from(self.errors)),
+            ("warm_responses", Json::from(self.warm)),
+            ("wall_clock_seconds", Json::from(self.seconds)),
+            ("requests_per_second", Json::from(self.req_per_sec)),
+            ("p50_latency_ms", Json::from(self.p50_ms)),
+            ("p99_latency_ms", Json::from(self.p99_ms)),
+            ("timeouts", Json::from(self.timeouts)),
+            ("cancelled_in_flight", Json::from(self.cancelled_in_flight)),
+            ("degraded", Json::from(self.degraded)),
+            ("cached_responses", Json::from(self.cached_responses)),
+            ("result_cache_hit_rate", Json::from(self.hit_rate)),
+            ("hot_p50_ms", Json::from(self.hot_p50_ms)),
+            (
+                "lanes",
+                Json::obj([
+                    (
+                        "small",
+                        lane(self.small_p50_ms, self.small_p99_ms, self.small_queue_peak),
+                    ),
+                    (
+                        "large",
+                        lane(self.large_p50_ms, self.large_p99_ms, self.large_queue_peak),
+                    ),
+                ]),
+            ),
+        ])
     }
 }
 
@@ -329,49 +301,28 @@ mod tests {
             small_queue_peak: 5,
             large_queue_peak: 3,
         };
-        let json = row.to_json_object();
-        assert!(json.contains("\"requests_per_second\": 12.000"));
-        assert!(json.contains("\"p99_latency_ms\": 400.000"));
-        assert!(json.contains("\"timeouts\": 1"));
-        assert!(json.contains("\"cancelled_in_flight\": 1"));
-        assert!(json.contains("\"degraded\": 2"));
-        assert!(json.contains("\"cached_responses\": 110"));
-        assert!(json.contains("\"result_cache_hit_rate\": 0.750"));
-        assert!(json.contains("\"hot_p50_ms\": 0.2500"));
-        assert!(json
-            .contains("\"small\": { \"p50_ms\": 10.000, \"p99_ms\": 150.000, \"queue_peak\": 5 }"));
-        assert!(json.contains(
-            "\"large\": { \"p50_ms\": 900.000, \"p99_ms\": 7000.000, \"queue_peak\": 3 }"
-        ));
-        let open = json.matches('{').count();
-        assert_eq!(open, json.matches('}').count());
-    }
-
-    #[test]
-    fn stats_counters_parse_out_of_a_stats_line() {
-        let line = r#"{"id":null,"status":"ok","server_stats":{"timeouts":3,"cancelled_in_flight":2,"degraded":10}}"#;
-        assert_eq!(stats_counter(line, "timeouts"), 3);
-        assert_eq!(stats_counter(line, "cancelled_in_flight"), 2);
-        assert_eq!(stats_counter(line, "degraded"), 10);
-        assert_eq!(stats_counter(line, "no_such_field"), 0);
-    }
-
-    #[test]
-    fn result_cache_counters_skip_the_pool_object() {
-        let line = r#"{"status":"ok","server_stats":{"pool":{"hits":9,"misses":9},"result_cache":{"enabled":true,"hits":4,"misses":2,"inflight_coalesced":3,"disk_hits":1}}"#;
-        assert_eq!(result_cache_counter(line, "hits"), 4);
-        assert_eq!(result_cache_counter(line, "misses"), 2);
-        assert_eq!(result_cache_counter(line, "inflight_coalesced"), 3);
-        assert_eq!(result_cache_counter(line, "disk_hits"), 1);
-        assert_eq!(result_cache_counter(r#"{"no_cache":true}"#, "hits"), 0);
-    }
-
-    #[test]
-    fn lane_counters_index_the_right_lane() {
-        let line = r#"{"server_stats":{"lanes":{"small":{"queued":0,"queued_peak":7,"served":20},"large":{"queued":1,"queued_peak":3,"served":2}}}}"#;
-        assert_eq!(lane_counter(line, "small", "queued_peak"), 7);
-        assert_eq!(lane_counter(line, "large", "queued_peak"), 3);
-        assert_eq!(lane_counter(line, "large", "served"), 2);
-        assert_eq!(lane_counter(r#"{"no_lanes":true}"#, "small", "served"), 0);
+        let doc = json::parse(&row.json().render_pretty()).unwrap();
+        // Each field as it renders: integers and floats in their shortest
+        // round-trip form.
+        let field = |path: &[&str]| {
+            path.iter()
+                .try_fold(&doc, |v, k| v.get(k))
+                .map(Json::render)
+                .unwrap_or_else(|| panic!("no field at {path:?}"))
+        };
+        assert_eq!(field(&["requests_per_second"]), "12");
+        assert_eq!(field(&["p99_latency_ms"]), "400");
+        assert_eq!(field(&["timeouts"]), "1");
+        assert_eq!(field(&["cancelled_in_flight"]), "1");
+        assert_eq!(field(&["degraded"]), "2");
+        assert_eq!(field(&["cached_responses"]), "110");
+        assert_eq!(field(&["result_cache_hit_rate"]), "0.75");
+        assert_eq!(field(&["hot_p50_ms"]), "0.25");
+        assert_eq!(field(&["lanes", "small", "p50_ms"]), "10");
+        assert_eq!(field(&["lanes", "small", "p99_ms"]), "150");
+        assert_eq!(field(&["lanes", "small", "queue_peak"]), "5");
+        assert_eq!(field(&["lanes", "large", "p50_ms"]), "900");
+        assert_eq!(field(&["lanes", "large", "p99_ms"]), "7000");
+        assert_eq!(field(&["lanes", "large", "queue_peak"]), "3");
     }
 }

@@ -23,9 +23,9 @@
 
 #![warn(missing_docs)]
 
-use iolb_core::report::json_escape;
 use iolb_core::Analyzer;
 use iolb_frontend::IolbFile;
+use iolb_poly::json::Json;
 use iolb_poly::Budget;
 
 /// A CLI failure: a message for stderr (the process exits non-zero).
@@ -362,7 +362,7 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
     }
     .map_err(|e| err(e.to_string()))?;
     if args.json {
-        return Ok(reply.to_json());
+        return Ok(format!("{}\n", reply.to_json()));
     }
     let outcome = match reply {
         iolb_core::AnalysisReply::Computed { outcome, .. } => outcome,
@@ -533,7 +533,7 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
     }
     .map_err(|e| err(e.to_string()))?;
     let text = if args.json {
-        format!("{}\n", report.to_json())
+        format!("{}\n", report.json().render())
     } else {
         render_check_text(&report)
     };
@@ -743,7 +743,7 @@ fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
     }
     .map_err(|e| err(e.to_string()))?;
     if args.json {
-        return Ok(outcome.to_json());
+        return Ok(format!("{}\n", outcome.to_json()));
     }
     let mut text = outcome.report.to_string();
     let report = outcome
@@ -761,35 +761,25 @@ fn cmd_kernels(args: &[String]) -> Result<String, CliError> {
         _ => return Err(err(format!("kernels: unexpected arguments\n\n{USAGE}"))),
     };
     let kernels = iolb_polybench::all_kernels();
-    let mut out = String::new();
     if json {
-        out.push_str("[\n");
-        for (i, k) in kernels.iter().enumerate() {
-            out.push_str("  { \"name\": ");
-            out.push_str(&json_escape(k.name));
-            out.push_str(", \"category\": ");
-            out.push_str(&json_escape(&k.category.to_string()));
-            out.push_str(", \"params\": [");
-            for (j, p) in k.params.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_escape(p));
-            }
-            out.push_str("] }");
-            out.push_str(if i + 1 < kernels.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("]\n");
-    } else {
-        out.push_str(&format!("{:<16} {:<14} parameters\n", "kernel", "category"));
-        for k in &kernels {
-            out.push_str(&format!(
-                "{:<16} {:<14} {}\n",
-                k.name,
-                k.category.to_string(),
-                k.params.join(", ")
-            ));
-        }
+        let kernel = |k: &iolb_polybench::Kernel| {
+            Json::obj([
+                ("name", Json::from(k.name)),
+                ("category", Json::from(k.category.to_string())),
+                ("params", Json::from(k.params.to_vec())),
+            ])
+        };
+        let list = Json::Arr(kernels.iter().map(kernel).collect());
+        return Ok(format!("{}\n", list.render()));
+    }
+    let mut out = format!("{:<16} {:<14} parameters\n", "kernel", "category");
+    for k in &kernels {
+        out.push_str(&format!(
+            "{:<16} {:<14} {}\n",
+            k.name,
+            k.category.to_string(),
+            k.params.join(", ")
+        ));
     }
     Ok(out)
 }
@@ -902,6 +892,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iolb_poly::json;
 
     fn example(name: &str) -> String {
         format!(
@@ -925,7 +916,13 @@ mod tests {
         assert!(text.contains("cholesky"));
         assert_eq!(text.lines().count(), 31); // header + 30 kernels
         let json = run(&["kernels".into(), "--json".into()]).unwrap();
-        assert!(json.contains("\"name\": \"gemm\""));
+        assert_eq!(json.lines().count(), 1, "{json}");
+        let Json::Arr(kernels) = json::parse(&json).unwrap() else {
+            panic!("not an array: {json}");
+        };
+        assert!(kernels
+            .iter()
+            .any(|k| k.get("name").and_then(Json::as_str) == Some("gemm")));
     }
 
     #[test]
@@ -940,8 +937,13 @@ mod tests {
             "--json".into(),
         ])
         .unwrap();
-        assert!(json.contains("\"kernel\": \"gemm\""));
-        assert!(json.contains("\"q_asymptotic\": \"2*Ni*Nj*Nk*S^(-1/2)\""));
+        assert_eq!(json.lines().count(), 1, "{json}");
+        let doc = json::parse(&json).unwrap();
+        assert_eq!(doc.get("kernel").and_then(Json::as_str), Some("gemm"));
+        assert_eq!(
+            doc.get("q_asymptotic").and_then(Json::as_str),
+            Some("2*Ni*Nj*Nk*S^(-1/2)")
+        );
     }
 
     #[test]
@@ -982,11 +984,11 @@ mod tests {
         ])
         .unwrap();
         let q = |s: &str| {
-            s.lines()
-                .find(|l| l.contains("\"q_low\""))
-                .expect("q_low line")
-                .trim()
-                .to_string()
+            json::parse(s)
+                .unwrap()
+                .get("q_low")
+                .cloned()
+                .expect("q_low")
         };
         assert_eq!(q(&from_file), q(&builtin));
     }
@@ -1128,6 +1130,20 @@ mod tests {
         assert_eq!(clamped.config.workers, 1);
     }
 
+    /// The first cache point of a one-line `simulate --json` document.
+    fn first_cache_point(json: &str) -> Json {
+        assert_eq!(json.lines().count(), 1, "{json}");
+        let doc = json::parse(json).unwrap();
+        let Some(Json::Arr(instances)) = doc.get("tightness").and_then(|t| t.get("instances"))
+        else {
+            panic!("no tightness instances: {json}");
+        };
+        let Some(Json::Arr(caches)) = instances[0].get("caches") else {
+            panic!("no cache points: {json}");
+        };
+        caches[0].clone()
+    }
+
     #[test]
     fn simulate_kernel_text_and_json() {
         let text = run(&[
@@ -1157,9 +1173,9 @@ mod tests {
             "--json".into(),
         ])
         .unwrap();
-        assert!(json.contains("\"tightness\": {"), "{json}");
-        assert!(json.contains("\"lru_misses\""), "{json}");
-        assert!(json.contains("\"tightness_lru\""), "{json}");
+        let point = first_cache_point(&json);
+        assert!(point.get("lru_misses").is_some(), "{json}");
+        assert!(point.get("tightness_lru").is_some(), "{json}");
     }
 
     #[test]
@@ -1176,9 +1192,17 @@ mod tests {
             "--json".into(),
         ])
         .unwrap();
-        assert!(json.contains("\"tightness\": {"), "{json}");
+        first_cache_point(&json);
         // 12*10*8 = 960 statement points, 4 accesses each (A, B, C|Cin, C).
-        assert!(json.contains("\"trace_len\": 3840"), "{json}");
+        let doc = json::parse(&json).unwrap();
+        let Some(Json::Arr(instances)) = doc.get("tightness").unwrap().get("instances") else {
+            panic!("no tightness instances: {json}");
+        };
+        assert_eq!(
+            instances[0].get("trace_len"),
+            Some(&Json::Int(3840)),
+            "{json}"
+        );
     }
 
     #[test]
@@ -1238,8 +1262,13 @@ mod tests {
         ])
         .unwrap();
         assert!(json.trim_end().lines().count() == 1, "{json}");
-        assert!(json.contains("\"cost_class\":\"small\""), "{json}");
-        assert!(json.contains("\"diagnostics\":[]"), "{json}");
+        let doc = json::parse(&json).unwrap();
+        assert_eq!(doc.get("cost_class").and_then(Json::as_str), Some("small"));
+        assert_eq!(
+            doc.get("diagnostics"),
+            Some(&Json::Arr(Vec::new())),
+            "{json}"
+        );
     }
 
     #[test]

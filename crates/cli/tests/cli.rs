@@ -1,6 +1,7 @@
 //! Binary-level end-to-end tests: run the real `iolb` executable the way a
 //! user would and check its output.
 
+use iolb_poly::json::{self, Json};
 use std::process::Command;
 
 fn iolb(args: &[&str]) -> std::process::Output {
@@ -11,12 +12,14 @@ fn iolb(args: &[&str]) -> std::process::Output {
         .expect("run iolb binary")
 }
 
+/// A string field of a one-line `--json` document.
 fn json_field(json: &str, key: &str) -> String {
-    json.lines()
-        .find(|l| l.trim_start().starts_with(&format!("\"{key}\"")))
+    assert_eq!(json.lines().count(), 1, "one line: {json}");
+    json::parse(json)
+        .unwrap()
+        .get(key)
+        .and_then(Json::as_str)
         .unwrap_or_else(|| panic!("field {key} in {json}"))
-        .trim()
-        .trim_end_matches(',')
         .to_string()
 }
 
@@ -46,7 +49,7 @@ fn gemm_example_matches_builtin_kernel() {
     );
     assert_eq!(
         json_field(&kernel_json, "q_asymptotic"),
-        "\"q_asymptotic\": \"2*Ni*Nj*Nk*S^(-1/2)\""
+        "2*Ni*Nj*Nk*S^(-1/2)"
     );
 }
 
@@ -124,12 +127,8 @@ fn serve_stdio_round_trip_and_clean_exit() {
     // Both workloads are gemm: the bound must be identical through either
     // door (built-in kernel vs frontend-lowered file).
     let q = |line: &str| {
-        let start = line.find("\"q_low\":").expect("q_low") + "\"q_low\":".len();
-        line[start..]
-            .split('"')
-            .nth(1)
-            .expect("string value")
-            .to_string()
+        let report = json::parse(line).unwrap().get("report").cloned();
+        report.and_then(|r| r.get("q_low").cloned()).expect("q_low")
     };
     assert_eq!(q(lines[0]), q(lines[1]));
 }

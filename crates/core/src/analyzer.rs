@@ -45,6 +45,7 @@ use crate::report::Report;
 use crate::result_cache::{AnalysisFingerprint, Claim, ResultCache, Tier};
 use crate::tightness::{TightnessOptions, TightnessReport};
 use crate::workload::{PreparedWorkload, Workload, WorkloadError};
+use iolb_poly::json::Json;
 use iolb_poly::{stats::Snapshot, Budget, EngineConfig, EngineCtx, EngineInterrupt};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -586,7 +587,7 @@ impl Analyzer {
 /// report, the per-session engine statistics, and the session itself.
 pub struct AnalysisOutcome {
     /// The reviewable report (text via `Display`, versioned JSON via
-    /// [`Report::to_json`]); owns the [`Analysis`].
+    /// [`Report::json`]); owns the [`Analysis`].
     pub report: Report,
     /// The static preflight pass: structural profile, diagnostics and the
     /// predicted cost class (see [`iolb_preflight`]).
@@ -620,59 +621,55 @@ impl AnalysisOutcome {
     }
 
     /// The versioned JSON document for machine consumers: every
-    /// [`Report::to_json`] field (including `schema_version`) plus an
-    /// `engine_stats` object with the per-session counters, cache hit
-    /// rates, resident entry count and wall-clock.
-    pub fn to_json(&self) -> String {
-        let report = self.report.to_json();
-        // Splice the engine_stats object in before the closing brace.
-        let body = report
-            .trim_end()
-            .strip_suffix('}')
-            .expect("report JSON object")
-            .trim_end()
-            .to_string();
-        let mut out = body;
-        out.push_str(",\n  \"engine_stats\": {\n");
-        for (key, value) in self.stats.as_pairs() {
-            out.push_str(&format!("    \"{}\": {},\n", key.to_lowercase(), value));
-        }
-        for (key, value) in self.stats.hit_rates() {
-            match value {
-                Some(rate) => out.push_str(&format!("    \"{key}\": {rate:.6},\n")),
-                // No query of this kind ran: `null`, never NaN (see
-                // `Snapshot::hit_rates`).
-                None => out.push_str(&format!("    \"{key}\": null,\n")),
-            }
-        }
-        out.push_str(&format!("    \"cache_entries\": {},\n", self.cache_entries));
-        out.push_str(&format!(
-            "    \"wall_clock_seconds\": {:.6}\n",
-            self.elapsed.as_secs_f64()
-        ));
-        out.push_str("  }");
-        out.push_str(&format!(",\n  \"preflight\": {}", self.preflight.to_json()));
+    /// [`Report::json`] field (including `schema_version`), then an
+    /// `engine_stats` object with the per-session counters, cache hit rates,
+    /// resident entry count and wall-clock, the `preflight` report, and the
+    /// `tightness`, `degraded` and `budget` fields when present.
+    pub fn json(&self) -> Json {
+        let counters = self.stats.as_pairs().into_iter();
+        let counters = counters.map(|(key, value)| (key.to_lowercase(), Json::from(value)));
+        // A rate with no queries of its kind is `null`, never NaN (see
+        // `Snapshot::hit_rates`).
+        let rates = self.stats.hit_rates().into_iter();
+        let rates = rates.map(|(key, rate)| (key.to_string(), Json::from(rate)));
+        let engine_stats = Json::obj(counters.chain(rates).chain([
+            ("cache_entries".into(), Json::from(self.cache_entries)),
+            (
+                "wall_clock_seconds".into(),
+                Json::from(self.elapsed.as_secs_f64()),
+            ),
+        ]));
+        let Json::Obj(mut fields) = self.report.json() else {
+            unreachable!("a report is a JSON object")
+        };
+        fields.push(("engine_stats".into(), engine_stats));
+        fields.push(("preflight".into(), self.preflight.json()));
         // The tightness block is only present on the simulate path, so plain
         // analysis reports (and their result-cache entries) keep their exact
         // bytes.
         if let Some(tightness) = &self.tightness {
-            out.push_str(&format!(",\n  \"tightness\": {}", tightness.to_json()));
+            fields.push(("tightness".into(), tightness.json()));
         }
         // Degradation fields are only emitted when a budget tripped, so
         // un-budgeted reports stay byte-identical to earlier versions.
-        if let Some(degradation) = &self.analysis().degradation {
-            out.push_str(",\n  \"degraded\": true,\n  \"budget\": {\n");
-            out.push_str(&format!(
-                "    \"tripped\": \"{}\",\n",
-                degradation.interrupt.code()
-            ));
-            out.push_str(&format!(
-                "    \"sweep_completed\": {},\n    \"sweep_total\": {}\n  }}",
-                degradation.sweep_completed, degradation.sweep_total
+        if let Some(d) = &self.analysis().degradation {
+            fields.push(("degraded".into(), Json::Bool(true)));
+            fields.push((
+                "budget".into(),
+                Json::obj([
+                    ("tripped", Json::from(d.interrupt.code())),
+                    ("sweep_completed", Json::from(d.sweep_completed)),
+                    ("sweep_total", Json::from(d.sweep_total)),
+                ]),
             ));
         }
-        out.push_str("\n}\n");
-        out
+        Json::Obj(fields)
+    }
+
+    /// [`AnalysisOutcome::json`] as one compact line: the bytes the result
+    /// cache stores and the daemon serves.
+    pub fn to_json(&self) -> String {
+        self.json().render()
     }
 }
 
@@ -748,6 +745,13 @@ mod tests {
             .unwrap()
     }
 
+    /// The outcome's compact document, parsed back.
+    fn parsed(outcome: &AnalysisOutcome) -> Json {
+        let json = outcome.to_json();
+        assert!(!json.contains('\n'), "one line: {json}");
+        iolb_poly::json::parse(&json).unwrap()
+    }
+
     /// The built-in gemm DFG as a session-rebuilding workload. (The `Kernel`
     /// type itself implements the *other* build of this crate in the
     /// dev-dependency cycle, so unit tests go through the DFG.)
@@ -770,9 +774,9 @@ mod tests {
         assert_eq!(outcome.analysis().q_asymptotic().to_string(), "N");
         assert!(outcome.stats.FEASIBILITY_CHECKS > 0);
         assert_eq!(outcome.report.kernel, "program");
-        let json = outcome.to_json();
-        assert!(json.contains("\"engine_stats\""), "{json}");
-        assert!(json.contains("\"schema_version\""), "{json}");
+        let doc = parsed(&outcome);
+        assert!(doc.get("engine_stats").is_some(), "{doc:?}");
+        assert!(doc.get("schema_version").is_some(), "{doc:?}");
     }
 
     #[test]
@@ -838,9 +842,14 @@ mod tests {
             engine: outcome.engine.clone(),
         };
         let json = idle.to_json();
-        assert!(json.contains("\"feasibility_hit_rate\": null"), "{json}");
-        assert!(json.contains("\"count_hit_rate\": null"), "{json}");
         assert!(!json.contains("NaN"), "{json}");
+        let stats = parsed(&idle).get("engine_stats").cloned().unwrap();
+        assert_eq!(
+            stats.get("feasibility_hit_rate"),
+            Some(&Json::Null),
+            "{json}"
+        );
+        assert_eq!(stats.get("count_hit_rate"), Some(&Json::Null), "{json}");
     }
 
     #[test]
@@ -884,7 +893,7 @@ mod tests {
             !budgeted.engine().budget_active(),
             "the request budget is cleared from the session afterwards"
         );
-        assert!(!budgeted.to_json().contains("\"degraded\""));
+        assert_eq!(parsed(&budgeted).get("degraded"), None);
     }
 
     #[test]
@@ -908,11 +917,15 @@ mod tests {
             tightness: None,
             engine: outcome.engine.clone(),
         };
-        let json = degraded.to_json();
-        assert!(json.contains("\"degraded\": true"), "{json}");
-        assert!(json.contains("\"tripped\": \"deadline\""), "{json}");
-        assert!(json.contains("\"sweep_completed\": 1"), "{json}");
-        assert!(json.contains("\"sweep_total\": 3"), "{json}");
+        let doc = parsed(&degraded);
+        assert_eq!(doc.get("degraded"), Some(&Json::Bool(true)), "{doc:?}");
+        let budget = doc.get("budget").unwrap();
+        assert_eq!(
+            budget.get("tripped").and_then(Json::as_str),
+            Some("deadline")
+        );
+        assert_eq!(budget.get("sweep_completed"), Some(&Json::Int(1)));
+        assert_eq!(budget.get("sweep_total"), Some(&Json::Int(3)));
     }
 
     #[test]
@@ -933,16 +946,22 @@ mod tests {
         );
         let ratio = point.tightness_lru().unwrap();
         assert!(ratio > 0.0 && ratio <= 1.0, "ratio = {ratio}");
-        let json = outcome.to_json();
-        assert!(json.contains("\"tightness\""), "{json}");
-        assert!(json.contains("\"lru_misses\""), "{json}");
+        let doc = parsed(&outcome);
+        let instances = doc.get("tightness").and_then(|t| t.get("instances"));
+        let Some(Json::Arr(instances)) = instances else {
+            panic!("no tightness instances in {doc:?}");
+        };
+        let Some(Json::Arr(caches)) = instances[0].get("caches") else {
+            panic!("no cache points in {doc:?}");
+        };
+        assert!(caches[0].get("lru_misses").is_some(), "{doc:?}");
     }
 
     #[test]
     fn plain_analysis_reports_carry_no_tightness_block() {
         let outcome = Analyzer::new().parallel(false).analyze(&GemmDfg).unwrap();
         assert!(outcome.tightness.is_none());
-        assert!(!outcome.to_json().contains("\"tightness\""));
+        assert_eq!(parsed(&outcome).get("tightness"), None);
     }
 
     #[test]
@@ -963,7 +982,12 @@ mod tests {
         assert!(tightness.instances[0].skipped.is_some());
         assert!(tightness.instances[0].caches.is_empty());
         assert!(outcome.analysis().degradation.is_none());
-        assert!(outcome.to_json().contains("\"skipped\": \""));
+        let doc = parsed(&outcome);
+        let instances = doc.get("tightness").and_then(|t| t.get("instances"));
+        let Some(Json::Arr(instances)) = instances else {
+            panic!("no tightness instances in {doc:?}");
+        };
+        assert!(matches!(instances[0].get("skipped"), Some(Json::Str(_))));
     }
 
     #[test]

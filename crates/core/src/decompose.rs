@@ -17,9 +17,10 @@ use iolb_poly::{count, BasicSet, Constraint, Context, LinExpr, UnionSet};
 use iolb_symbol::{sum_over, Expr, Poly};
 
 /// Greedily combines candidate bounds whose may-spill sets are pairwise
-/// disjoint (the simplification of Algorithm 1 discussed in DESIGN.md:
-/// interfering candidates are dropped rather than recomputed, which preserves
-/// validity and only costs tightness).
+/// disjoint. This simplifies the paper's Algorithm 1: a candidate that
+/// interferes with an accepted one is dropped, not re-derived on the DFG
+/// with the accepted may-spill sets removed. Dropping preserves validity and
+/// only costs tightness; ROADMAP item 9 tracks the full Algorithm 1.
 ///
 /// Candidates are considered in decreasing order of their value at the given
 /// parameter instance — the instance only drives this heuristic ordering, the

@@ -7,10 +7,11 @@
 
 use crate::driver::Analysis;
 use crate::oi::OiSummary;
+use iolb_poly::json::Json;
 use std::fmt;
 
-/// Version of the JSON document emitted by [`Report::to_json`] (and by
-/// `AnalysisOutcome::to_json`, which extends it). Bump when a field is
+/// Version of the JSON document built by [`Report::json`] (and by
+/// `AnalysisOutcome::json`, which extends it). Bump when a field is
 /// removed or changes meaning; additions are backwards-compatible.
 pub const SCHEMA_VERSION: u32 = 1;
 
@@ -36,87 +37,37 @@ impl Report {
         }
     }
 
-    /// Serialises the report as a JSON object (hand-rolled — the build
-    /// environment is dependency-free). All symbolic expressions are
-    /// rendered in their `Display` form; machine consumers that need more
-    /// structure should walk the [`Report::analysis`] fields directly.
+    /// The report as a JSON value. All symbolic expressions are rendered
+    /// in their `Display` form; machine consumers that need more structure
+    /// should walk the [`Report::analysis`] fields directly.
+    pub fn json(&self) -> Json {
+        let text = |v: &dyn fmt::Display| Json::from(v.to_string());
+        let a = &self.analysis;
+        let oi_up = self.oi.as_ref().and_then(|o| o.oi_up.as_ref());
+        let accepted = a.accepted.iter().map(|b| {
+            let notes = Json::from(b.notes.clone());
+            Json::obj([("bound", text(b)), ("notes", notes)])
+        });
+        Json::obj([
+            ("schema_version", Json::from(SCHEMA_VERSION)),
+            ("kernel", text(&self.kernel)),
+            ("q_low", text(&a.q_low)),
+            ("q_asymptotic", text(&a.q_asymptotic())),
+            ("input_size", text(&a.input_size)),
+            ("cache_param", text(&a.cache_param)),
+            (
+                "ops",
+                self.oi.as_ref().map_or(Json::Null, |oi| text(&oi.ops)),
+            ),
+            ("oi_up", oi_up.map_or(Json::Null, |up| text(up))),
+            ("num_candidates", Json::from(a.candidates.len())),
+            ("accepted_bounds", Json::Arr(accepted.collect())),
+        ])
+    }
+
+    /// The report as one compact line of JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let field = |out: &mut String, key: &str, value: String, last: bool| {
-            out.push_str("  ");
-            out.push_str(&json_escape(key));
-            out.push_str(": ");
-            out.push_str(&value);
-            out.push_str(if last { "\n" } else { ",\n" });
-        };
-        field(
-            &mut out,
-            "schema_version",
-            SCHEMA_VERSION.to_string(),
-            false,
-        );
-        field(&mut out, "kernel", json_escape(&self.kernel), false);
-        field(
-            &mut out,
-            "q_low",
-            json_escape(&self.analysis.q_low.to_string()),
-            false,
-        );
-        field(
-            &mut out,
-            "q_asymptotic",
-            json_escape(&self.analysis.q_asymptotic().to_string()),
-            false,
-        );
-        field(
-            &mut out,
-            "input_size",
-            json_escape(&self.analysis.input_size.to_string()),
-            false,
-        );
-        field(
-            &mut out,
-            "cache_param",
-            json_escape(&self.analysis.cache_param),
-            false,
-        );
-        let ops = match &self.oi {
-            Some(oi) => json_escape(&oi.ops.to_string()),
-            None => "null".to_string(),
-        };
-        field(&mut out, "ops", ops, false);
-        let oi_up = match self.oi.as_ref().and_then(|o| o.oi_up.as_ref()) {
-            Some(up) => json_escape(&up.to_string()),
-            None => "null".to_string(),
-        };
-        field(&mut out, "oi_up", oi_up, false);
-        field(
-            &mut out,
-            "num_candidates",
-            self.analysis.candidates.len().to_string(),
-            false,
-        );
-        out.push_str("  \"accepted_bounds\": [");
-        for (i, b) in self.analysis.accepted.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    { \"bound\": ");
-            out.push_str(&json_escape(&b.to_string()));
-            out.push_str(", \"notes\": [");
-            for (j, note) in b.notes.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_escape(note));
-            }
-            out.push_str("] }");
-        }
-        if !self.analysis.accepted.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        self.json().render()
     }
 
     /// One-line summary: kernel, asymptotic bound, asymptotic OI.
@@ -135,27 +86,6 @@ impl Report {
             oi
         )
     }
-}
-
-/// Renders a string as a JSON string literal (quotes, backslashes and
-/// control characters escaped; other characters pass through as UTF-8,
-/// which JSON permits).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 impl fmt::Display for Report {
@@ -222,18 +152,18 @@ mod tests {
         let analysis = analyze(&g, &options);
         let report = Report::new("copy", analysis, None);
         let json = report.to_json();
-        assert!(json.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));
-        assert!(json.contains("\"kernel\": \"copy\""));
-        assert!(json.contains("\"q_low\": \""));
-        assert!(json.contains("\"accepted_bounds\": ["));
-        // Quotes must be balanced (escaping kept the literal well-formed).
-        let unescaped_quotes = json.replace("\\\"", "").matches('"').count();
-        assert_eq!(unescaped_quotes % 2, 0);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(json_escape("Q∞"), "\"Q∞\"");
+        assert!(!json.contains('\n'), "{json}");
+        let doc = iolb_poly::json::parse(&json).unwrap();
+        assert_eq!(doc.render(), json, "rendering is the inverse of parsing");
+        assert_eq!(
+            doc.get("schema_version").and_then(Json::as_u64),
+            Some(SCHEMA_VERSION as u64)
+        );
+        assert_eq!(doc.get("kernel").and_then(Json::as_str), Some("copy"));
+        assert_eq!(
+            doc.get("q_low").and_then(Json::as_str),
+            Some(report.analysis.q_low.to_string().as_str())
+        );
+        assert!(matches!(doc.get("accepted_bounds"), Some(Json::Arr(_))));
     }
 }

@@ -38,8 +38,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Magic + on-disk format version of a disk-tier entry file. Bumping the
-/// format invalidates every existing entry (foreign magic = miss).
-pub const DISK_MAGIC: [u8; 8] = *b"IOLBRC01";
+/// format invalidates every existing entry (foreign magic = miss). Format 02
+/// stores the compact one-line document the daemon splices into its reply
+/// unchanged; format-01 entries held the older multi-line rendering and are
+/// repaired away on first read.
+pub const DISK_MAGIC: [u8; 8] = *b"IOLBRC02";
 
 /// Fixed header length of a disk-tier entry file: magic (8), report schema
 /// version (4), fingerprint (16), payload length (8), checksum (16).

@@ -42,11 +42,11 @@ use std::fmt::Write as _;
 
 use crate::bound::Instance;
 use crate::driver::Analysis;
-use crate::report::json_escape;
 use crate::workload::dfg_params;
 pub use iolb_cachesim::{simulate_lru, simulate_optimal, CacheStats};
 use iolb_dfg::Dfg;
 use iolb_math::Rational;
+use iolb_poly::json::Json;
 use iolb_poly::{AffineFunction, BasicMap, BasicSet, EngineCtx, EngineInterrupt};
 
 /// Default value assigned to every program parameter when no instance is
@@ -255,78 +255,46 @@ impl TightnessReport {
             })
     }
 
-    /// Renders the report as the JSON object spliced into the analysis
-    /// report under the `"tightness"` key (base indentation two spaces).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(
-            out,
-            "    \"cache_param\": {},",
-            json_escape(&self.cache_param)
-        );
-        let _ = writeln!(out, "    \"max_trace\": {},", self.max_trace);
-        out.push_str("    \"instances\": [");
-        for (i, inst) in self.instances.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n      {\n");
-            out.push_str("        \"params\": {");
-            for (j, (k, v)) in inst.instance.pairs().iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{}: {}", json_escape(k), v);
-            }
-            out.push_str("},\n");
-            let _ = writeln!(out, "        \"trace_len\": {},", inst.trace_len);
-            let _ = writeln!(
-                out,
-                "        \"distinct_addresses\": {},",
-                inst.distinct_addresses
-            );
-            let _ = writeln!(out, "        \"ops\": {},", fmt_f64(Some(inst.ops)));
-            match &inst.skipped {
-                Some(reason) => {
-                    let _ = writeln!(out, "        \"skipped\": {},", json_escape(reason));
-                }
-                None => out.push_str("        \"skipped\": null,\n"),
-            }
-            out.push_str("        \"caches\": [");
-            for (j, cp) in inst.caches.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n          {");
-                let _ = write!(
-                    out,
-                    "\"cache_words\": {}, \"lru_accesses\": {}, \"lru_misses\": {}, ",
-                    cp.cache_words, cp.lru.accesses, cp.lru.misses
-                );
-                match &cp.opt {
-                    Some(o) => {
-                        let _ = write!(out, "\"opt_misses\": {}, ", o.misses);
-                    }
-                    None => out.push_str("\"opt_misses\": null, "),
-                }
-                let _ = write!(
-                    out,
-                    "\"q_low\": {}, \"tightness_lru\": {}, \"tightness_opt\": {}}}",
-                    fmt_f64(cp.q_low),
-                    fmt_f64(cp.tightness_lru()),
-                    fmt_f64(cp.tightness_opt())
-                );
-            }
-            if !inst.caches.is_empty() {
-                out.push_str("\n        ");
-            }
-            out.push_str("]\n      }");
-        }
-        if !self.instances.is_empty() {
-            out.push_str("\n    ");
-        }
-        out.push_str("]\n  }");
-        out
+    /// The report as the JSON object the analysis report carries under its
+    /// `"tightness"` key. Missing and non-finite numbers are `null`.
+    pub fn json(&self) -> Json {
+        let cache_point = |cp: &CachePoint| {
+            Json::obj([
+                ("cache_words", Json::from(cp.cache_words)),
+                ("lru_accesses", Json::from(cp.lru.accesses)),
+                ("lru_misses", Json::from(cp.lru.misses)),
+                ("opt_misses", Json::from(cp.opt.as_ref().map(|o| o.misses))),
+                ("q_low", Json::from(cp.q_low)),
+                ("tightness_lru", Json::from(cp.tightness_lru())),
+                ("tightness_opt", Json::from(cp.tightness_opt())),
+            ])
+        };
+        let instance = |inst: &InstanceTightness| {
+            let params = inst
+                .instance
+                .pairs()
+                .into_iter()
+                .map(|(k, v)| (k, Json::from(v)));
+            Json::obj([
+                ("params", Json::obj(params)),
+                ("trace_len", Json::from(inst.trace_len)),
+                ("distinct_addresses", Json::from(inst.distinct_addresses)),
+                ("ops", Json::from(inst.ops)),
+                ("skipped", Json::from(inst.skipped.clone())),
+                (
+                    "caches",
+                    Json::Arr(inst.caches.iter().map(cache_point).collect()),
+                ),
+            ])
+        };
+        Json::obj([
+            ("cache_param", Json::from(self.cache_param.as_str())),
+            ("max_trace", Json::from(self.max_trace)),
+            (
+                "instances",
+                Json::Arr(self.instances.iter().map(instance).collect()),
+            ),
+        ])
     }
 
     /// One-line human summary, e.g. for CLI output.
@@ -339,15 +307,6 @@ impl TightnessReport {
             ),
             None => format!("tightness: {simulated} instance(s) simulated, {skipped} skipped"),
         }
-    }
-}
-
-/// Renders an `Option<f64>` as a JSON number or `null` (never `NaN`/`inf`,
-/// which are not JSON).
-fn fmt_f64(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x}"),
-        _ => "null".to_string(),
     }
 }
 

@@ -14,8 +14,7 @@
 //! callers fall back to conservative handling.
 //!
 //! The entry points take the engine session explicitly
-//! ([`card_basic_in`], [`card_in`]); the suffix-less forms are deprecated
-//! shims over the ambient session.
+//! ([`card_basic_in`], [`card_in`]).
 
 use crate::affine::{Constraint, ConstraintKind, LinExpr};
 use crate::basic_set::BasicSet;
@@ -294,46 +293,6 @@ pub fn card_in(engine: &EngineCtx, set: &Set, ctx: &Context) -> Option<Poly> {
         total = total + card_basic_in(engine, part, ctx)?;
     }
     Some(total)
-}
-
-// --- deprecated global shims -----------------------------------------------
-
-/// [`card_basic_in`] against the **ambient** session.
-///
-/// Migrate to the session-scoped form:
-///
-/// ```
-/// use iolb_poly::{count, parse_set, EngineCtx};
-///
-/// let session = EngineCtx::new();
-/// let card = session.scope(|| {
-///     let s = parse_set("[N] -> { S[i] : 0 <= i < N }").unwrap();
-///     count::card_basic_in(&EngineCtx::current(), &s, &count::Context::empty())
-/// });
-/// assert_eq!(card.unwrap().to_string(), "N");
-/// ```
-#[deprecated(note = "use card_basic_in with an explicit EngineCtx")]
-pub fn card_basic(set: &BasicSet, ctx: &Context) -> Option<Poly> {
-    EngineCtx::with_current(|e| card_basic_in(e, set, ctx))
-}
-
-/// [`card_in`] against the **ambient** session.
-///
-/// Migrate to the session-scoped form:
-///
-/// ```
-/// use iolb_poly::{count, parse_set, EngineCtx};
-///
-/// let session = EngineCtx::new();
-/// let card = session.scope(|| {
-///     let s = parse_set("[N] -> { S[i] : 0 <= i < N }").unwrap().to_set();
-///     count::card_in(&EngineCtx::current(), &s, &count::Context::empty())
-/// });
-/// assert_eq!(card.unwrap().to_string(), "N");
-/// ```
-#[deprecated(note = "use card_in with an explicit EngineCtx")]
-pub fn card(set: &Set, ctx: &Context) -> Option<Poly> {
-    EngineCtx::with_current(|e| card_in(e, set, ctx))
 }
 
 #[cfg(test)]

@@ -42,15 +42,13 @@
 //! *inside* the session it analyses in. Resolving a foreign id panics with a
 //! "different engine session" message rather than silently aliasing names.
 //!
-//! ## Compatibility
+//! ## The global fallback session
 //!
-//! Code that predates sessions (the deprecated free functions in
-//! [`interner`](crate::interner), [`cache`](crate::cache),
-//! [`stats`](crate::stats), [`fm`](crate::fm) and [`count`](crate::count))
-//! still compiles: outside any scope, the ambient session falls back to one
-//! process-wide **global session** (see [`EngineCtx::global`]), which is the
-//! only remaining `OnceLock` in this crate and exists purely as a
-//! deprecated-shim landing pad.
+//! Outside any scope, the ambient session falls back to one process-wide
+//! **global session** (see [`EngineCtx::global`]), the only remaining
+//! `OnceLock` in this crate. Object-layer calls made outside any scope land
+//! in it — for example building a built-in kernel's DFG before any session
+//! is entered. New code should enter a session instead.
 
 use crate::budget::{Budget, BudgetState};
 use crate::cache::QueryCache;
@@ -453,13 +451,13 @@ impl EngineCtx {
         self.interner.len() * 4 < self.config.interner_capacity * 3
     }
 
-    // --- deprecated global compatibility shim ---------------------------
+    // --- global fallback session ------------------------------------------
 
     /// The process-wide fallback session used by threads that have not
-    /// entered a scope. This exists so the deprecated free functions (and
-    /// code written before sessions) keep working; new code should create
-    /// its own session. This `OnceLock` is the compatibility shim's storage
-    /// and is only consulted when no scope is active.
+    /// entered a scope: object-layer calls made outside any scope (such as
+    /// building a built-in kernel's DFG before a session is entered) land
+    /// here. New code should create its own session. Only consulted when no
+    /// scope is active.
     pub fn global() -> &'static Arc<EngineCtx> {
         static GLOBAL: std::sync::OnceLock<Arc<EngineCtx>> = std::sync::OnceLock::new();
         GLOBAL.get_or_init(EngineCtx::new)

@@ -18,8 +18,7 @@
 //!
 //! Every query-level entry point takes the engine session explicitly (the
 //! `_in` functions); the session supplies the query cache, the operation
-//! counters and the parameter interner. The suffix-less free functions are
-//! deprecated shims over the ambient session.
+//! counters and the parameter interner.
 
 use crate::affine::{Constraint, ConstraintKind, LinExpr};
 use crate::engine::EngineCtx;
@@ -439,129 +438,6 @@ pub fn implies_in(
         })
 }
 
-// --- deprecated global shims -----------------------------------------------
-
-/// [`eliminate_var_in`] against the **ambient** session.
-///
-/// Migrate to the session-scoped form:
-///
-/// ```
-/// use iolb_poly::{fm, parse_set, EngineCtx};
-///
-/// let session = EngineCtx::new();
-/// session.scope(|| {
-///     let s = parse_set("[N] -> { S[i, j] : 0 <= i <= j and j < N }").unwrap();
-///     let projected = fm::eliminate_var_in(&EngineCtx::current(), s.constraints(), 1);
-///     // j is gone; the shadow 0 <= i < N remains satisfiable.
-///     assert!(fm::is_feasible_in(&EngineCtx::current(), &projected, s.dim()));
-/// });
-/// ```
-#[deprecated(note = "use eliminate_var_in with an explicit EngineCtx")]
-pub fn eliminate_var(constraints: &[Constraint], idx: usize) -> Vec<Constraint> {
-    EngineCtx::with_current(|e| eliminate_var_in(e, constraints, idx))
-}
-
-/// [`eliminate_var_owned_in`] against the **ambient** session.
-///
-/// Migrate to the session-scoped form (identical to
-/// [`eliminate_var_in`], but consuming the system — see its example):
-///
-/// ```
-/// use iolb_poly::{fm, parse_set, EngineCtx};
-///
-/// let session = EngineCtx::new();
-/// session.scope(|| {
-///     let s = parse_set("[N] -> { S[i, j] : 0 <= i <= j and j < N }").unwrap();
-///     let owned = s.constraints().to_vec();
-///     let projected = fm::eliminate_var_owned_in(&EngineCtx::current(), owned, 1);
-///     assert!(fm::is_feasible_in(&EngineCtx::current(), &projected, s.dim()));
-/// });
-/// ```
-#[deprecated(note = "use eliminate_var_owned_in with an explicit EngineCtx")]
-pub fn eliminate_var_owned(constraints: Vec<Constraint>, idx: usize) -> Vec<Constraint> {
-    EngineCtx::with_current(|e| eliminate_var_owned_in(e, constraints, idx))
-}
-
-/// [`eliminate_vars_in`] against the **ambient** session.
-///
-/// Migrate to the session-scoped form:
-///
-/// ```
-/// use iolb_poly::{fm, parse_set, EngineCtx};
-///
-/// let session = EngineCtx::new();
-/// session.scope(|| {
-///     let s = parse_set("[N] -> { S[i, j] : 0 <= i <= j and j < N }").unwrap();
-///     let none_left = fm::eliminate_vars_in(&EngineCtx::current(), s.constraints(), vec![0, 1]);
-///     // Both variables projected away: only parameter constraints remain.
-///     assert!(fm::is_feasible_in(&EngineCtx::current(), &none_left, 0));
-/// });
-/// ```
-#[deprecated(note = "use eliminate_vars_in with an explicit EngineCtx")]
-pub fn eliminate_vars(constraints: &[Constraint], idxs: Vec<usize>) -> Vec<Constraint> {
-    EngineCtx::with_current(|e| eliminate_vars_in(e, constraints, idxs))
-}
-
-/// [`collect_params_in`] against the **ambient** session.
-///
-/// Migrate to the session-scoped form:
-///
-/// ```
-/// use iolb_poly::{fm, parse_set, EngineCtx};
-///
-/// let session = EngineCtx::new();
-/// session.scope(|| {
-///     let s = parse_set("[N, M] -> { S[i] : 0 <= i < N + M }").unwrap();
-///     let params = fm::collect_params_in(&EngineCtx::current(), s.constraints());
-///     assert_eq!(params, ["M".to_string(), "N".to_string()]);
-/// });
-/// ```
-#[deprecated(note = "use collect_params_in with an explicit EngineCtx")]
-pub fn collect_params(constraints: &[Constraint]) -> Vec<String> {
-    EngineCtx::with_current(|e| collect_params_in(e, constraints))
-}
-
-/// [`is_feasible_in`] against the **ambient** session.
-///
-/// Migrate to the session-scoped form:
-///
-/// ```
-/// use iolb_poly::{fm, parse_set, EngineCtx};
-///
-/// let session = EngineCtx::new();
-/// session.scope(|| {
-///     let s = parse_set("[N] -> { S[i] : 0 <= i < N }").unwrap();
-///     assert!(fm::is_feasible_in(&EngineCtx::current(), s.constraints(), s.dim()));
-/// });
-/// assert!(session.stats().FEASIBILITY_CHECKS >= 1);
-/// ```
-#[deprecated(note = "use is_feasible_in with an explicit EngineCtx")]
-pub fn is_feasible(constraints: &[Constraint], nvars: usize) -> bool {
-    EngineCtx::with_current(|e| is_feasible_in(e, constraints, nvars))
-}
-
-/// [`implies_in`] against the **ambient** session.
-///
-/// Migrate to the session-scoped form:
-///
-/// ```
-/// use iolb_poly::{fm, parse_set, EngineCtx};
-///
-/// let session = EngineCtx::new();
-/// session.scope(|| {
-///     let narrow = parse_set("[N] -> { S[i] : 1 <= i < N - 1 }").unwrap();
-///     let wide = parse_set("[N] -> { S[i] : 0 <= i < N }").unwrap();
-///     let engine = EngineCtx::current();
-///     for target in wide.constraints() {
-///         assert!(fm::implies_in(&engine, narrow.constraints(), narrow.dim(), target));
-///     }
-/// });
-/// ```
-#[deprecated(note = "use implies_in with an explicit EngineCtx")]
-pub fn implies(constraints: &[Constraint], nvars: usize, target: &Constraint) -> bool {
-    EngineCtx::with_current(|e| implies_in(e, constraints, nvars, target))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -731,16 +607,6 @@ mod tests {
             let mut bad = projected;
             bad.push(Constraint::eq(var(1, 0).sub(&cst(1, 3))));
             assert!(!is_feasible_in(e, &bad, 1));
-        });
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_answer() {
-        in_session(|e| {
-            let cs = vec![Constraint::ge0(var(1, 0))];
-            assert_eq!(is_feasible(&cs, 1), is_feasible_in(e, &cs, 1));
-            assert_eq!(collect_params(&cs), collect_params_in(e, &cs));
         });
     }
 }

@@ -1,13 +1,14 @@
-//! A minimal JSON reader/writer for the wire protocol.
+//! The workspace's one JSON reader and writer.
 //!
-//! The build environment is dependency-free (no `serde`), and the protocol
-//! needs only a small, strict JSON subset handler: parse one request object
-//! per line, render responses compactly. [`parse`] accepts any RFC-8259
-//! document (objects, arrays, strings with escapes, numbers, booleans,
-//! `null`); integers that fit `i128` are kept exact, everything else
-//! becomes `f64`. [`Json::render`] is the inverse (object keys keep their
-//! parse order), and [`compact`] minifies already-serialised JSON so
-//! multi-line report documents can be embedded in one-line responses.
+//! The build environment is dependency-free (no `serde`). Every document the
+//! program emits — the analysis report, the daemon's replies and `stats`,
+//! the benchmark record — is built as a [`Json`] value and rendered once by
+//! [`Json::render`] (compact) or [`Json::render_pretty`] (two-space indent).
+//! [`parse`] accepts any RFC-8259 document (objects, arrays, strings with
+//! escapes, numbers, booleans, `null`); integers that fit `i128` are kept
+//! exact, everything else becomes `f64`. Rendering is the inverse (object
+//! keys keep their order), and floats render in Rust's shortest round-trip
+//! form. [`compact`] minifies already-serialised JSON text.
 
 use std::fmt;
 
@@ -110,11 +111,53 @@ impl Json {
         }
     }
 
+    /// An object from `(key, value)` fields, in order.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// Renders the value as compact JSON (no whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
         out
+    }
+
+    /// Renders the value with a two-space indent, one field or item per
+    /// line, and a trailing newline — for files read line by line in diffs.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.pretty_into(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn pretty_into(&self, out: &mut String, depth: usize) {
+        let (open, close, items): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Arr(items) if !items.is_empty() => {
+                ('[', ']', items.iter().map(|v| (None, v)).collect())
+            }
+            Json::Obj(fields) if !fields.is_empty() => (
+                '{',
+                '}',
+                fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            ),
+            _ => return self.render_into(out),
+        };
+        let indent = "  ".repeat(depth + 1);
+        out.push(open);
+        for (i, (key, value)) in items.into_iter().enumerate() {
+            out.push_str(if i > 0 { ",\n" } else { "\n" });
+            out.push_str(&indent);
+            if let Some(key) = key {
+                out.push_str(&escape(key));
+                out.push_str(": ");
+            }
+            value.pretty_into(out, depth + 1);
+        }
+        out.push('\n');
+        out.push_str(&indent[2..]);
+        out.push(close);
     }
 
     fn render_into(&self, out: &mut String) {
@@ -150,6 +193,54 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(f: f64) -> Json {
+        Json::Float(f)
+    }
+}
+
+macro_rules! int_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(i: $t) -> Json {
+                Json::Int(i as i128)
+            }
+        }
+    )*};
+}
+int_from!(u32, u64, usize, i128);
+
+/// `None` renders as `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -522,6 +613,27 @@ mod tests {
     fn render_roundtrips() {
         let doc = r#"{"a":[1,2.5,"x\"y",null,true],"b":{"c":-3}}"#;
         assert_eq!(parse(doc).unwrap().render(), doc);
+    }
+
+    #[test]
+    fn pretty_rendering_parses_back_to_the_same_value() {
+        let doc = Json::obj([
+            ("a", Json::from(vec![1u64, 2])),
+            (
+                "b",
+                Json::obj([("c", Json::from("x\ny")), ("d", Json::from(None::<f64>))]),
+            ),
+            ("e", Json::Arr(Vec::new())),
+            ("f", Json::from(0.25)),
+        ]);
+        let pretty = doc.render_pretty();
+        assert_eq!(
+            pretty,
+            "{\n  \"a\": [\n    1,\n    2\n  ],\n  \"b\": {\n    \"c\": \"x\\ny\",\n    \
+             \"d\": null\n  },\n  \"e\": [],\n  \"f\": 0.25\n}\n"
+        );
+        assert_eq!(parse(&pretty).unwrap(), doc);
+        assert_eq!(compact(&pretty), doc.render());
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //! * [`count`] — symbolic cardinality via iterated Faulhaber summation (exact
 //!   on affine loop-nest domains);
 //! * [`parse_set`] / [`parse_map`] — a parser for the ISL-like notation used
-//!   throughout the paper, so kernels and tests read like the paper's figures.
+//!   throughout the paper, so kernels and tests read like the paper's figures;
+//! * [`json`] — the one JSON reader and writer of the workspace: every
+//!   report, daemon reply and benchmark record is built as a [`json::Json`]
+//!   value and rendered by it.
 //!
 //! ## Example
 //!
@@ -56,6 +59,7 @@ pub mod engine;
 pub mod fm;
 pub mod fxhash;
 pub mod interner;
+pub mod json;
 pub mod map;
 pub mod parser;
 pub mod redundancy;

@@ -57,6 +57,7 @@
 #![warn(missing_docs)]
 
 use iolb_dfg::Dfg;
+use iolb_poly::json::Json;
 use iolb_poly::{Context, EngineCtx};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -259,62 +260,55 @@ impl PreflightReport {
             .any(|d| d.severity == Severity::Error)
     }
 
-    /// Renders the report as a single-line JSON object:
+    /// The report as a JSON object:
     /// `{"workload":…,"cost_class":…,"blowup_score":…,"profile":{…},"diagnostics":[…]}`.
-    pub fn to_json(&self) -> String {
+    pub fn json(&self) -> Json {
         let p = &self.profile;
-        let mut out = String::with_capacity(512);
-        out.push_str(&format!(
-            "{{\"workload\":\"{}\",\"cost_class\":\"{}\",\"blowup_score\":{},\"profile\":{{",
-            escape(&p.name),
-            p.cost_class,
-            p.blowup_score
-        ));
-        out.push_str(&format!(
-            "\"inputs\":{},\"params\":[{}],\"assumptions\":{},\"max_depth\":{},\"parametrization_depth\":{},\"statements\":[",
-            p.inputs,
-            p.params
-                .iter()
-                .map(|s| format!("\"{}\"", escape(s)))
-                .collect::<Vec<_>>()
-                .join(","),
-            p.assumptions,
-            p.max_depth,
-            p.parametrization_depth
-        ));
-        for (i, s) in p.statements.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"dim\":{},\"fan_in\":{},\"fan_out\":{},\"uniform_in\":{},\"pattern\":\"{}\",\"blowup_score\":{}}}",
-                escape(&s.name),
-                s.dim,
-                s.fan_in,
-                s.fan_out,
-                s.uniform_in,
-                s.pattern,
-                s.blowup_score
-            ));
-        }
-        out.push_str("]},\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":\"{}\",\"span\":{}}}",
-                d.severity,
-                d.code,
-                escape(&d.message),
-                match d.span {
-                    Some(SourceSpan { line, col }) => format!("{{\"line\":{line},\"col\":{col}}}"),
-                    None => "null".to_string(),
-                }
-            ));
-        }
-        out.push_str("]}");
-        out
+        let statement = |s: &StatementProfile| {
+            Json::obj([
+                ("name", Json::from(s.name.as_str())),
+                ("dim", Json::from(s.dim)),
+                ("fan_in", Json::from(s.fan_in)),
+                ("fan_out", Json::from(s.fan_out)),
+                ("uniform_in", Json::from(s.uniform_in)),
+                ("pattern", Json::from(s.pattern.to_string())),
+                ("blowup_score", Json::from(s.blowup_score)),
+            ])
+        };
+        let diagnostic = |d: &Diagnostic| {
+            let span = d.span.map(|SourceSpan { line, col }| {
+                Json::obj([("line", Json::from(line)), ("col", Json::from(col))])
+            });
+            Json::obj([
+                ("severity", Json::from(d.severity.to_string())),
+                ("code", Json::from(d.code)),
+                ("message", Json::from(d.message.as_str())),
+                ("span", Json::from(span)),
+            ])
+        };
+        Json::obj([
+            ("workload", Json::from(p.name.as_str())),
+            ("cost_class", Json::from(p.cost_class.to_string())),
+            ("blowup_score", Json::from(p.blowup_score)),
+            (
+                "profile",
+                Json::obj([
+                    ("inputs", Json::from(p.inputs)),
+                    ("params", Json::from(p.params.clone())),
+                    ("assumptions", Json::from(p.assumptions)),
+                    ("max_depth", Json::from(p.max_depth)),
+                    ("parametrization_depth", Json::from(p.parametrization_depth)),
+                    (
+                        "statements",
+                        Json::Arr(p.statements.iter().map(statement).collect()),
+                    ),
+                ]),
+            ),
+            (
+                "diagnostics",
+                Json::Arr(self.diagnostics.iter().map(diagnostic).collect()),
+            ),
+        ])
     }
 }
 
@@ -511,23 +505,6 @@ pub fn preflight(
     }
 }
 
-/// Minimal JSON string escaping (mirrors the server's).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -683,7 +660,7 @@ mod tests {
                 0,
                 None,
             );
-            let json = report.to_json();
+            let json = report.json().render();
             assert!(json.starts_with("{\"workload\":\"g\",\"cost_class\":\"small\""));
             assert!(json.contains("\"pattern\":\"uniform\""));
             assert!(json.ends_with("\"diagnostics\":[]}"));

@@ -13,9 +13,10 @@
 //!   one JSON request per line in, one JSON response per line out, over TCP
 //!   or stdin/stdout. The protocol reference is `docs/SERVING.md`.
 //! * **Protocol** ([`protocol`]): strict request parsing (unknown fields
-//!   are errors), versioned report payloads (the same `schema_version`ed
-//!   document `iolb analyze --json` prints, extended with per-request
-//!   engine-stats deltas and queue/latency timings).
+//!   are errors), versioned report payloads (byte for byte the compact
+//!   `schema_version`ed document `iolb analyze --json` prints, next to
+//!   queue/latency timings). Every reply is a [`json::Json`] value; the
+//!   module is [`iolb_poly::json`], re-exported.
 //! * **Execution** ([`server`]): a bounded request queue with `overloaded`
 //!   backpressure, a worker-thread pool, per-request timeouts, and a
 //!   graceful drain on shutdown.
@@ -42,7 +43,7 @@
 
 #![warn(missing_docs)]
 
-pub mod json;
+pub use iolb_poly::json;
 pub mod protocol;
 pub mod server;
 

@@ -131,10 +131,10 @@ pub enum Request {
 }
 
 /// A protocol-level failure, rendered by [`error_response`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RequestError {
-    /// The echoed id (compact JSON; `null` when the line had none).
-    pub id: String,
+    /// The echoed id (`null` when the line had none).
+    pub id: Json,
     /// One of the `ERR_*` codes.
     pub code: &'static str,
     /// Human-readable detail.
@@ -143,7 +143,7 @@ pub struct RequestError {
 
 fn bad(id: &Json, message: impl Into<String>) -> RequestError {
     RequestError {
-        id: id.render(),
+        id: id.clone(),
         code: ERR_BAD_REQUEST,
         message: message.into(),
     }
@@ -584,63 +584,98 @@ pub struct DegradedInfo<'a> {
     pub sweep_total: usize,
 }
 
-/// Renders a successful `analyze` response. `report_json` is the (possibly
-/// multi-line) document from `AnalysisOutcome::to_json`; it is embedded
-/// compactly so the response stays one line. `degraded` adds the
-/// `degraded: true` marker and the `budget` progress object when a work
-/// budget tripped mid-analysis; clean responses are byte-identical to the
-/// pre-budget wire format.
+impl ServiceTimings {
+    /// The `server` object of a successful response.
+    fn json(&self) -> Json {
+        Json::obj([
+            ("queue_ms", Json::from(self.queue_ms)),
+            ("service_ms", Json::from(self.service_ms)),
+            ("analysis_ms", Json::from(self.analysis_ms)),
+            ("session_warm", Json::from(self.session_warm)),
+            ("pool_sessions", Json::from(self.pool_sessions)),
+            ("cost_class", Json::from(self.cost_class)),
+        ])
+    }
+}
+
+/// Renders a successful `analyze` response. `report_json` is the compact
+/// document from `AnalysisOutcome::to_json`, as the result cache stores it;
+/// it goes into the line unchanged. `degraded` adds the `degraded: true`
+/// marker and the `budget` progress object when a work budget tripped
+/// mid-analysis; clean responses are byte-identical to the pre-budget wire
+/// format.
 pub fn ok_response(
-    id: &str,
+    id: &Json,
     report_json: &str,
     timings: &ServiceTimings,
     degraded: Option<DegradedInfo<'_>>,
     cache: &CacheInfo,
 ) -> String {
-    let degraded = match degraded {
-        None => String::new(),
-        Some(d) => format!(
-            ",\"degraded\":true,\"budget\":{{\"tripped\":{},\"sweep_completed\":{},\"sweep_total\":{}}}",
-            json::escape(d.tripped),
-            d.sweep_completed,
-            d.sweep_total,
-        ),
-    };
-    let fingerprint = match &cache.fingerprint {
-        Some(fp) => format!(",\"fingerprint\":{}", json::escape(fp)),
-        None => String::new(),
-    };
+    let head = Json::obj([
+        ("id", id.clone()),
+        ("status", Json::from("ok")),
+        ("cached", Json::from(cache.cached)),
+    ])
+    .render();
+    let mut tail = vec![("server", timings.json())];
+    if let Some(fp) = &cache.fingerprint {
+        tail.push(("fingerprint", Json::from(fp.as_str())));
+    }
+    if let Some(d) = degraded {
+        tail.push(("degraded", Json::Bool(true)));
+        tail.push((
+            "budget",
+            Json::obj([
+                ("tripped", Json::from(d.tripped)),
+                ("sweep_completed", Json::from(d.sweep_completed)),
+                ("sweep_total", Json::from(d.sweep_total)),
+            ]),
+        ));
+    }
+    let tail = Json::obj(tail).render();
+    // The one text splice of the program: the stored report bytes go
+    // between the envelope's `cached` and `server` fields.
     format!(
-        "{{\"id\":{id},\"status\":\"ok\",\"cached\":{},\"report\":{},\"server\":{{\"queue_ms\":{:.3},\"service_ms\":{:.3},\"analysis_ms\":{:.3},\"session_warm\":{},\"pool_sessions\":{},\"cost_class\":{}}}{fingerprint}{degraded}}}",
-        cache.cached,
-        json::compact(report_json).trim_end(),
-        timings.queue_ms,
-        timings.service_ms,
-        timings.analysis_ms,
-        timings.session_warm,
-        timings.pool_sessions,
-        json::escape(timings.cost_class),
+        "{},\"report\":{report_json},{}",
+        &head[..head.len() - 1],
+        &tail[1..]
     )
 }
 
-/// Renders an error response from an echoed id (compact JSON), an `ERR_*`
-/// code and a message.
-pub fn error_response(id: &str, code: &str, message: &str) -> String {
-    format!(
-        "{{\"id\":{id},\"status\":\"error\",\"error\":{{\"code\":{},\"message\":{}}}}}",
-        json::escape(code),
-        json::escape(message),
-    )
+/// Renders an error response from the echoed id, an `ERR_*` code and a
+/// message.
+pub fn error_response(id: &Json, code: &str, message: &str) -> String {
+    error_with(id, code, message, None)
 }
 
 /// Renders an [`ERR_OVERLOADED`] response carrying a `retry_after_ms`
 /// back-off hint (queue depth × recent mean service time).
-pub fn overloaded_response(id: &str, message: &str, retry_after_ms: u64) -> String {
-    format!(
-        "{{\"id\":{id},\"status\":\"error\",\"error\":{{\"code\":{},\"message\":{},\"retry_after_ms\":{retry_after_ms}}}}}",
-        json::escape(ERR_OVERLOADED),
-        json::escape(message),
-    )
+pub fn overloaded_response(id: &Json, message: &str, retry_after_ms: u64) -> String {
+    error_with(id, ERR_OVERLOADED, message, Some(retry_after_ms))
+}
+
+fn error_with(id: &Json, code: &str, message: &str, retry_after_ms: Option<u64>) -> String {
+    let mut error = vec![("code", Json::from(code)), ("message", Json::from(message))];
+    if let Some(ms) = retry_after_ms {
+        error.push(("retry_after_ms", Json::from(ms)));
+    }
+    Json::obj([
+        ("id", id.clone()),
+        ("status", Json::from("error")),
+        ("error", Json::obj(error)),
+    ])
+    .render()
+}
+
+/// Renders the acknowledgement of a `ping` (`flag` = `"pong"`) or a
+/// `shutdown` (`flag` = `"draining"`): `{"id":…,"status":"ok","<flag>":true}`.
+pub fn ack_response(id: &Json, flag: &str) -> String {
+    Json::obj([
+        ("id", id.clone()),
+        ("status", Json::from("ok")),
+        (flag, Json::Bool(true)),
+    ])
+    .render()
 }
 
 impl RequestError {
@@ -855,7 +890,7 @@ mod tests {
             assert!(e.message.contains(want), "{line}: {}", e.message);
         }
         let e = parse_request(r#"{"id": "x"}"#).unwrap_err();
-        assert_eq!(e.id, "\"x\"", "the id is echoed even on errors");
+        assert_eq!(e.id, Json::from("x"), "the id is echoed even on errors");
     }
 
     #[test]
@@ -869,8 +904,8 @@ mod tests {
             cost_class: "small",
         };
         let ok = ok_response(
-            "\"r1\"",
-            "{\n  \"schema_version\": 1\n}\n",
+            &Json::from("r1"),
+            r#"{"schema_version":1}"#,
             &timings,
             None,
             &CacheInfo::default(),
@@ -889,8 +924,15 @@ mod tests {
             Some(&Json::Bool(true))
         );
         assert_eq!(doc.get("degraded"), None, "clean responses stay unmarked");
+        let keys: Vec<&str> = doc
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["id", "status", "cached", "report", "server"]);
 
-        let err = error_response("null", ERR_OVERLOADED, "queue full (64 requests)");
+        let err = error_response(&Json::Null, ERR_OVERLOADED, "queue full (64 requests)");
         assert!(!err.contains('\n'));
         let doc = crate::json::parse(&err).unwrap();
         assert_eq!(doc.get("status").unwrap().as_str(), Some("error"));
@@ -916,8 +958,8 @@ mod tests {
             sweep_total: 8,
         };
         let line = ok_response(
-            "1",
-            "{\"schema_version\": 1}",
+            &Json::Int(1),
+            r#"{"schema_version":1}"#,
             &timings,
             Some(degraded),
             &CacheInfo::default(),
@@ -930,11 +972,21 @@ mod tests {
         assert_eq!(budget.get("tripped").unwrap().as_str(), Some("fm_steps"));
         assert_eq!(budget.get("sweep_completed"), Some(&Json::Int(3)));
         assert_eq!(budget.get("sweep_total"), Some(&Json::Int(8)));
+        let keys: Vec<&str> = doc
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            ["id", "status", "cached", "report", "server", "degraded", "budget"]
+        );
     }
 
     #[test]
     fn overloaded_responses_carry_a_retry_hint() {
-        let line = overloaded_response("\"r9\"", "request queue is full (4 queued)", 850);
+        let line = overloaded_response(&Json::from("r9"), "request queue is full (4 queued)", 850);
         assert!(!line.contains('\n'));
         let doc = crate::json::parse(&line).unwrap();
         let error = doc.get("error").unwrap();

@@ -44,6 +44,7 @@ use iolb_core::{
     AnalyzeError, Analyzer, DiskTierConfig, Instance, ResultCache, ResultCacheConfig,
     TightnessOptions, Workload,
 };
+use iolb_poly::json::Json;
 use iolb_poly::stats::Snapshot;
 use iolb_poly::{Budget, CancelToken, EngineConfig, EngineInterrupt};
 use std::collections::{HashMap, VecDeque};
@@ -462,16 +463,11 @@ impl Server {
             Err(e) => return e.to_response(),
         };
         match request {
-            Request::Ping(id) => {
-                format!("{{\"id\":{},\"status\":\"ok\",\"pong\":true}}", id.render())
-            }
-            Request::Stats(id) => self.stats_response(&id.render()),
+            Request::Ping(id) => protocol::ack_response(&id, "pong"),
+            Request::Stats(id) => self.stats_response(id),
             Request::Shutdown(id) => {
                 self.begin_drain();
-                format!(
-                    "{{\"id\":{},\"status\":\"ok\",\"draining\":true}}",
-                    id.render()
-                )
+                protocol::ack_response(&id, "draining")
             }
             Request::Analyze(request) => self.handle_analyze(*request, None),
             Request::Simulate(request) => {
@@ -504,7 +500,7 @@ impl Server {
                 .simulate_requests
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let id = request.id.render();
+        let id = request.id.clone();
         // Classify before taking the queue lock: preflight is microseconds
         // for kernels but compiles source programs, and runs on the
         // connection thread, never under the lock.
@@ -595,9 +591,10 @@ impl Server {
         }
     }
 
-    fn stats_response(&self, id: &str) -> String {
+    fn stats_response(&self, id: Json) -> String {
         let inner = &*self.inner;
         let m = &inner.metrics;
+        let count = |counter: &AtomicU64| Json::from(counter.load(Ordering::Relaxed));
         let pool = inner.pool.stats();
         let rc = inner
             .result_cache
@@ -608,7 +605,7 @@ impl Server {
             let queue = inner.queue.lock().unwrap();
             (queue.small.len(), queue.large.len())
         };
-        let lane_json = |class: CostClass, depth: usize| {
+        let lane = |class: CostClass, depth: usize| {
             let i = class_idx(class);
             let samples = m.service_samples[i].load(Ordering::Relaxed);
             let mean_ms = if samples == 0 {
@@ -616,79 +613,86 @@ impl Server {
             } else {
                 m.service_us[i].load(Ordering::Relaxed) as f64 / samples as f64 / 1e3
             };
-            format!(
-                "{{\"queued\":{depth},\"queued_peak\":{},\"served\":{samples},\
-                 \"mean_service_ms\":{mean_ms:.3},\"p50_ms\":{},\"p99_ms\":{}}}",
-                m.queue_peak[i].load(Ordering::Relaxed),
-                hist_percentile(&m.service_hist[i], 0.50),
-                hist_percentile(&m.service_hist[i], 0.99),
-            )
+            let hist = &m.service_hist[i];
+            Json::obj([
+                ("queued", Json::from(depth)),
+                ("queued_peak", count(&m.queue_peak[i])),
+                ("served", Json::from(samples)),
+                ("mean_service_ms", Json::from(mean_ms)),
+                ("p50_ms", Json::from(hist_percentile(hist, 0.50))),
+                ("p99_ms", Json::from(hist_percentile(hist, 0.99))),
+            ])
         };
-        let engine: Vec<String> = m
-            .engine
-            .lock()
-            .unwrap()
-            .as_pairs()
+        let engine = m.engine.lock().unwrap().as_pairs();
+        let engine = engine
             .into_iter()
-            .map(|(key, value)| format!("\"{}\":{value}", key.to_lowercase()))
-            .collect();
-        format!(
-            "{{\"id\":{id},\"status\":\"ok\",\"server_stats\":{{\
-             \"workers\":{},\"queue_capacity\":{},\"queue_depth\":{},\"draining\":{},\
-             \"lanes\":{{\"small\":{},\"large\":{}}},\
-             \"requests_received\":{},\"requests_completed\":{},\"requests_failed\":{},\
-             \"rejected_overloaded\":{},\"timeouts\":{},\"abandoned_skipped\":{},\
-             \"abandoned_completed\":{},\"cancelled_in_flight\":{},\"degraded\":{},\
-             \"resource_limited\":{},\"sessions_retired\":{},\
-             \"simulate_requests\":{},\"simulate_completed\":{},\
-             \"pool\":{{\"capacity\":{},\"idle_sessions\":{},\"hits\":{},\"misses\":{},\
-             \"evictions\":{},\"retired\":{}}},\
-             \"result_cache\":{{\"enabled\":{},\"entries\":{},\"hits\":{},\"misses\":{},\
-             \"inflight_coalesced\":{},\"disk_hits\":{},\"evictions\":{},\
-             \"disk_evictions\":{},\"disk_corrupt\":{},\"stores\":{},\"uncacheable\":{}}},\
-             \"engine\":{{{}}}}}}}",
-            inner.config.workers,
-            inner.config.queue_capacity,
-            small_depth + large_depth,
-            inner.draining.load(Ordering::SeqCst),
-            lane_json(CostClass::Small, small_depth),
-            lane_json(CostClass::Large, large_depth),
-            m.received.load(Ordering::Relaxed),
-            m.completed.load(Ordering::Relaxed),
-            m.failed.load(Ordering::Relaxed),
-            m.overloaded.load(Ordering::Relaxed),
-            m.timeouts.load(Ordering::Relaxed),
-            m.abandoned_skipped.load(Ordering::Relaxed),
-            m.abandoned_completed.load(Ordering::Relaxed),
-            m.cancelled_in_flight.load(Ordering::Relaxed),
-            m.degraded.load(Ordering::Relaxed),
-            m.resource_limited.load(Ordering::Relaxed),
-            m.sessions_retired.load(Ordering::Relaxed),
-            m.simulate_requests.load(Ordering::Relaxed),
-            m.simulate_completed.load(Ordering::Relaxed),
-            inner.pool.capacity(),
-            inner.pool.len(),
-            pool.hits,
-            pool.misses,
-            pool.evictions,
-            pool.retired,
-            inner.result_cache.is_some(),
-            inner
-                .result_cache
-                .as_ref()
-                .map(|c| c.memory_len())
-                .unwrap_or(0),
-            rc.hits,
-            rc.misses,
-            rc.inflight_coalesced,
-            rc.disk_hits,
-            rc.evictions,
-            rc.disk_evictions,
-            rc.disk_corrupt,
-            rc.stores,
-            rc.uncacheable,
-            engine.join(","),
-        )
+            .map(|(key, value)| (key.to_lowercase(), Json::from(value)));
+        let server_stats = Json::obj([
+            ("workers", Json::from(inner.config.workers)),
+            ("queue_capacity", Json::from(inner.config.queue_capacity)),
+            ("queue_depth", Json::from(small_depth + large_depth)),
+            (
+                "draining",
+                Json::from(inner.draining.load(Ordering::SeqCst)),
+            ),
+            (
+                "lanes",
+                Json::obj([
+                    ("small", lane(CostClass::Small, small_depth)),
+                    ("large", lane(CostClass::Large, large_depth)),
+                ]),
+            ),
+            ("requests_received", count(&m.received)),
+            ("requests_completed", count(&m.completed)),
+            ("requests_failed", count(&m.failed)),
+            ("rejected_overloaded", count(&m.overloaded)),
+            ("timeouts", count(&m.timeouts)),
+            ("abandoned_skipped", count(&m.abandoned_skipped)),
+            ("abandoned_completed", count(&m.abandoned_completed)),
+            ("cancelled_in_flight", count(&m.cancelled_in_flight)),
+            ("degraded", count(&m.degraded)),
+            ("resource_limited", count(&m.resource_limited)),
+            ("sessions_retired", count(&m.sessions_retired)),
+            ("simulate_requests", count(&m.simulate_requests)),
+            ("simulate_completed", count(&m.simulate_completed)),
+            (
+                "pool",
+                Json::obj([
+                    ("capacity", Json::from(inner.pool.capacity())),
+                    ("idle_sessions", Json::from(inner.pool.len())),
+                    ("hits", Json::from(pool.hits)),
+                    ("misses", Json::from(pool.misses)),
+                    ("evictions", Json::from(pool.evictions)),
+                    ("retired", Json::from(pool.retired)),
+                ]),
+            ),
+            (
+                "result_cache",
+                Json::obj([
+                    ("enabled", Json::from(inner.result_cache.is_some())),
+                    (
+                        "entries",
+                        Json::from(inner.result_cache.as_ref().map_or(0, |c| c.memory_len())),
+                    ),
+                    ("hits", Json::from(rc.hits)),
+                    ("misses", Json::from(rc.misses)),
+                    ("inflight_coalesced", Json::from(rc.inflight_coalesced)),
+                    ("disk_hits", Json::from(rc.disk_hits)),
+                    ("evictions", Json::from(rc.evictions)),
+                    ("disk_evictions", Json::from(rc.disk_evictions)),
+                    ("disk_corrupt", Json::from(rc.disk_corrupt)),
+                    ("stores", Json::from(rc.stores)),
+                    ("uncacheable", Json::from(rc.uncacheable)),
+                ]),
+            ),
+            ("engine", Json::obj(engine)),
+        ]);
+        Json::obj([
+            ("id", id),
+            ("status", Json::from("ok")),
+            ("server_stats", server_stats),
+        ])
+        .render()
     }
 
     fn begin_drain(&self) {
@@ -816,7 +820,7 @@ fn handle_connection(
                         Some(response)
                     }
                     Err(_) => Some(protocol::error_response(
-                        "null",
+                        &Json::Null,
                         protocol::ERR_BAD_REQUEST,
                         "request line is not valid UTF-8",
                     )),
@@ -896,7 +900,7 @@ fn worker_loop(inner: &Arc<Inner>, role: Role) {
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "unknown panic".to_string());
             protocol::error_response(
-                &job.request.id.render(),
+                &job.request.id,
                 protocol::ERR_INTERNAL,
                 &format!("analysis panicked: {message}"),
             )
@@ -922,7 +926,7 @@ fn worker_loop(inner: &Arc<Inner>, role: Role) {
 /// waiters are counted under `inflight_coalesced` alone.
 fn execute(inner: &Inner, job: &Job, queue_ms: f64) -> String {
     let request = &job.request;
-    let id = request.id.render();
+    let id = &request.id;
     let started = Instant::now();
 
     // Resolve the workload before anything costly: an unknown kernel must
@@ -933,7 +937,7 @@ fn execute(inner: &Inner, job: &Job, queue_ms: f64) -> String {
             None => {
                 inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
                 return protocol::error_response(
-                    &id,
+                    id,
                     ERR_UNKNOWN_KERNEL,
                     &format!("unknown kernel \"{name}\" (see `iolb kernels` for the list)"),
                 );
@@ -1002,7 +1006,7 @@ fn execute(inner: &Inner, job: &Job, queue_ms: f64) -> String {
                 // never stored), so the degraded marker is always absent.
                 // Which tier served (memory/disk/coalesced) is visible in
                 // the stats counters.
-                return ok_response(&id, &hit.json, &timings, None, &cache_info);
+                return ok_response(id, &hit.json, &timings, None, &cache_info);
             }
             Claim::Leader(guard) => leader = Some(guard),
         }
@@ -1112,7 +1116,7 @@ fn execute(inner: &Inner, job: &Job, queue_ms: f64) -> String {
                 fingerprint: fingerprint_hex.clone(),
             };
             (
-                ok_response(&id, &report_json, &timings, degraded, &cache_info),
+                ok_response(id, &report_json, &timings, degraded, &cache_info),
                 interrupted,
             )
         }
@@ -1130,7 +1134,7 @@ fn execute(inner: &Inner, job: &Job, queue_ms: f64) -> String {
             }
             (
                 protocol::error_response(
-                    &id,
+                    id,
                     ERR_RESOURCE_LIMIT,
                     &format!(
                         "analysis interrupted by the \"{}\" budget before any valid \
@@ -1144,7 +1148,7 @@ fn execute(inner: &Inner, job: &Job, queue_ms: f64) -> String {
         Err(AnalyzeError::Workload(e)) => {
             inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
             (
-                protocol::error_response(&id, ERR_WORKLOAD, &e.to_string()),
+                protocol::error_response(id, ERR_WORKLOAD, &e.to_string()),
                 false,
             )
         }

@@ -62,6 +62,11 @@ fn corrupted_disk_entries_become_repairing_misses() {
             data[DISK_HEADER_LEN - 1] ^= 0x01
         }),
         ("wrong magic", |data| data[0] ^= 0xff),
+        // Format 01 stored multi-line documents; a one-line reply must
+        // never embed one.
+        ("previous format magic IOLBRC01", |data| {
+            data[..8].copy_from_slice(b"IOLBRC01")
+        }),
         ("wrong format version", |data| {
             data[8] = data[8].wrapping_add(1)
         }),

@@ -33,6 +33,11 @@ fn cost_class(response: &str) -> String {
         .to_string()
 }
 
+/// A field of an error reply's `error` object.
+fn error_field<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
+    doc.get("error").and_then(|e| e.get(key))
+}
+
 fn lane_stat(stats: &Json, lane: &str, key: &str) -> i128 {
     stats
         .get("server_stats")
@@ -79,12 +84,16 @@ fn small_requests_are_served_while_a_large_request_is_in_flight() {
     let doc = json::parse(&large_response).expect("large response parses");
     let status = doc.get("status").and_then(|s| s.as_str());
     // Release builds may finish heat-3d inside the timeout; debug builds
-    // time out. Both are legitimate — what matters is the routing.
+    // time out, or trip the 90% deadline before proving any bound. All are
+    // legitimate — what matters is the routing.
     match status {
         Some("ok") => assert_eq!(cost_class(&large_response), "large", "{large_response}"),
         Some("error") => {
-            let code = doc.get("code").and_then(|c| c.as_str());
-            assert_eq!(code, Some("timeout"), "{large_response}");
+            let code = error_field(&doc, "code").and_then(Json::as_str);
+            assert!(
+                matches!(code, Some("timeout" | "resource_limit")),
+                "{large_response}"
+            );
         }
         _ => panic!("unexpected large response: {large_response}"),
     }
@@ -135,10 +144,9 @@ fn lane_admission_is_independent() {
     std::thread::sleep(std::time::Duration::from_millis(400));
     let rejected = server.handle_line(r#"{"id": 7, "kernel": "seidel-2d", "timeout_ms": 2500}"#);
     let doc = json::parse(&rejected).expect("parses");
-    if doc.get("code").and_then(|c| c.as_str()) == Some("overloaded") {
-        let retry = doc
-            .get("retry_after_ms")
-            .and_then(|v| v.as_i128())
+    if error_field(&doc, "code").and_then(Json::as_str) == Some("overloaded") {
+        let retry = error_field(&doc, "retry_after_ms")
+            .and_then(Json::as_i128)
             .expect("retry hint");
         assert!(retry > 0, "{rejected}");
         assert!(rejected.contains("large lane is full"), "{rejected}");

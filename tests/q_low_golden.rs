@@ -7,11 +7,16 @@
 //! layer (lattice closure, partition LP, combination, symbolic printing) that
 //! alters a bound fails here even when every configuration still agrees.
 //!
+//! Each workload's report document is checked on the way: it is one line,
+//! it parses and renders back byte for byte, and its `q_low` field is the
+//! string compared against the golden file.
+//!
 //! The golden file holds one `name<TAB>q_low` line per workload. A change
 //! that deliberately re-pins a bound rewrites it with
 //! `IOLB_BLESS_GOLDEN=1 cargo test --test q_low_golden` and justifies the diff.
 
 use iolb::frontend::IolbFile;
+use iolb::poly::json::{self, Json};
 use iolb::prelude::*;
 use std::path::PathBuf;
 
@@ -29,21 +34,42 @@ fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
+/// The `q_low` field of the outcome's report document, after checking that
+/// the document is one line that renders back from its parse byte for byte
+/// and that the field is the analysis's bound.
+fn document_q_low(name: &str, outcome: &AnalysisOutcome) -> String {
+    let doc = outcome.to_json();
+    assert!(!doc.contains('\n'), "{name}: the report is not one line");
+    let parsed = json::parse(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(
+        parsed.render(),
+        doc,
+        "{name}: parse + render changed the bytes"
+    );
+    let q_low = parsed.get("q_low").and_then(Json::as_str).expect("q_low");
+    assert_eq!(q_low, outcome.analysis().q_low.to_string(), "{name}");
+    q_low.to_string()
+}
+
 /// `(name, q_low)` for every pinned workload, each analysed cold in its own
-/// session with the serial driver.
+/// session with the serial driver; `q_low` is read from the report document.
 fn derive_all() -> Vec<(String, String)> {
-    let q_low = |outcome: AnalysisOutcome| outcome.analysis().q_low.to_string();
     let mut rows: Vec<(String, String)> = iolb::polybench::all_kernels()
         .iter()
         .map(|kernel| {
             let outcome = Analyzer::new().parallel(false).analyze(kernel).unwrap();
-            (kernel.name.to_string(), q_low(outcome))
+            (
+                kernel.name.to_string(),
+                document_q_low(kernel.name, &outcome),
+            )
         })
         .collect();
     for program in PROGRAMS {
         let file = IolbFile::new(root().join("examples/programs").join(program));
         let outcome = Analyzer::new().parallel(false).analyze(&file).unwrap();
-        rows.push((format!("examples/programs/{program}"), q_low(outcome)));
+        let name = format!("examples/programs/{program}");
+        let q_low = document_q_low(&name, &outcome);
+        rows.push((name, q_low));
     }
     rows
 }

@@ -38,8 +38,8 @@ fn builtin_gemm_and_iolb_gemm_are_trace_and_report_twins() {
     let builtin_report = builtin.tightness.as_ref().unwrap();
     let file_report = from_file.tightness.as_ref().unwrap();
     assert_eq!(
-        builtin_report.to_json(),
-        file_report.to_json(),
+        builtin_report.json().render(),
+        file_report.json().render(),
         "builtin gemm and gemm.iolb tightness reports diverged"
     );
     // And the reports actually measured something sound.
@@ -80,7 +80,7 @@ fn ai_examples_preflight_clean_and_simulate_within_budget() {
         assert!(
             !outcome.preflight.has_errors(),
             "{name}: preflight diagnostics are not clean: {}",
-            outcome.preflight.to_json()
+            outcome.preflight.json().render()
         );
 
         // Simulated within the default trace budget: at least one instance
