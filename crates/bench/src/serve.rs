@@ -76,13 +76,34 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
+/// The reply fields the load clients tally, read from the parsed reply.
+struct Reply {
+    ok: bool,
+    cached: bool,
+    warm: bool,
+    large: bool,
+}
+
+impl Reply {
+    fn parse(response: &str) -> Reply {
+        let doc = json::parse(response).expect("daemon replies are JSON");
+        let server = |key: &str| doc.get("server").and_then(|s| s.get(key));
+        Reply {
+            ok: doc.get("status").and_then(Json::as_str) == Some("ok"),
+            cached: doc.get("cached").and_then(Json::as_bool) == Some(true),
+            warm: server("session_warm").and_then(Json::as_bool) == Some(true),
+            large: server("cost_class").and_then(Json::as_str) == Some("large"),
+        }
+    }
+}
+
 /// Runs `clients` concurrent client threads, each submitting the full
 /// kernel suite (each from a different starting offset, so the in-flight
 /// mix stays varied), against a fresh in-process daemon.
 pub fn run(clients: usize) -> ServeThroughput {
-    let kernels: Vec<String> = iolb_polybench::all_kernels()
-        .iter()
-        .map(|k| k.name.to_string())
+    let kernels: Vec<String> = iolb_polybench::kernel_names()
+        .into_iter()
+        .map(String::from)
         .collect();
     let server = Arc::new(Server::start(ServerConfig {
         workers: clients.max(1),
@@ -110,17 +131,12 @@ pub fn run(clients: usize) -> ServeThroughput {
                     let response = server.handle_line(&format!(
                         r#"{{"id": "load-{c}-{i}", "kernel": "{kernel}"}}"#
                     ));
-                    let large = response.contains("\"cost_class\":\"large\"");
-                    latencies_ms.push((sent.elapsed().as_secs_f64() * 1e3, large));
-                    if response.contains("\"status\":\"ok\"") {
-                        ok += 1;
-                    }
-                    if response.contains("\"session_warm\":true") {
-                        warm += 1;
-                    }
-                    if response.contains("\"cached\":true") {
-                        cached += 1;
-                    }
+                    let elapsed_ms = sent.elapsed().as_secs_f64() * 1e3;
+                    let reply = Reply::parse(&response);
+                    latencies_ms.push((elapsed_ms, reply.large));
+                    ok += reply.ok as usize;
+                    warm += reply.warm as usize;
+                    cached += reply.cached as usize;
                 }
                 (latencies_ms, ok, warm, cached)
             })
@@ -160,9 +176,7 @@ pub fn run(clients: usize) -> ServeThroughput {
         let sent = Instant::now();
         let response = server.handle_line(&format!(r#"{{"id": "hot-{i}", "kernel": "{kernel}"}}"#));
         hot_ms.push(sent.elapsed().as_secs_f64() * 1e3);
-        if response.contains("\"cached\":true") {
-            cached_responses += 1;
-        }
+        cached_responses += Reply::parse(&response).cached as usize;
     }
     hot_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
 

@@ -84,10 +84,6 @@ ANALYZE OPTIONS:
                          errors when no valid bound exists yet
     --max-fm-steps N     cap on Fourier-Motzkin variable eliminations
                          (same degradation semantics as --deadline-ms)
-    --no-result-cache    always recompute, even when the process-wide
-                         result cache already holds this exact analysis
-                         (--json output only; text reports always
-                         recompute)
 
 SIMULATE OPTIONS:
     --json               emit the full analysis report with the
@@ -154,8 +150,6 @@ struct AnalyzeArgs {
     deadline_ms: Option<u64>,
     /// Fourier–Motzkin work budget (`--max-fm-steps`).
     max_fm_steps: Option<u64>,
-    /// Skip the process-wide result cache (`--no-result-cache`).
-    no_result_cache: bool,
 }
 
 enum Target {
@@ -193,13 +187,11 @@ fn parse_analyze_args(args: &[String]) -> Result<AnalyzeArgs, CliError> {
     let mut serial = false;
     let mut deadline_ms = None;
     let mut max_fm_steps = None;
-    let mut no_result_cache = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--json" => json = true,
             "--serial" => serial = true,
-            "--no-result-cache" => no_result_cache = true,
             "--kernel" => {
                 let name = it
                     .next()
@@ -294,7 +286,6 @@ fn parse_analyze_args(args: &[String]) -> Result<AnalyzeArgs, CliError> {
         serial,
         deadline_ms,
         max_fm_steps,
-        no_result_cache,
     })
 }
 
@@ -330,60 +321,36 @@ fn analyzer_for(args: &AnalyzeArgs) -> Analyzer {
     analyzer
 }
 
-/// The process-wide result cache behind `iolb analyze --json`: embedders
-/// calling [`run`] repeatedly (and the CLI's own tests) replay repeated
-/// analyses byte-identically instead of recomputing. Memory-tier only —
-/// a one-shot `iolb` process neither benefits from nor pays for a disk
-/// tier; persistent caching is the daemon's job (`iolb serve --cache-dir`).
-fn process_result_cache() -> std::sync::Arc<iolb_core::ResultCache> {
-    static CACHE: std::sync::OnceLock<std::sync::Arc<iolb_core::ResultCache>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(iolb_core::ResultCache::in_memory).clone()
-}
-
 fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
     let args = parse_analyze_args(args)?;
-    let mut analyzer = analyzer_for(&args);
-    // Text reports render from the in-memory `Report`, which a cached JSON
-    // string cannot rebuild — only the `--json` path replays from the cache.
-    if args.json && !args.no_result_cache {
-        analyzer = analyzer.result_cache(process_result_cache());
-    }
-    let reply = match &args.target {
-        Target::File(path) => analyzer.analyze_cached(&IolbFile::new(path)),
+    let analyzer = analyzer_for(&args);
+    let outcome = match &args.target {
+        Target::File(path) => analyzer.analyze(&IolbFile::new(path)),
         Target::Kernel(kname) => {
             let kernel = iolb_polybench::kernel_by_name(kname).ok_or_else(|| {
                 err(format!(
                     "unknown kernel `{kname}` (see `iolb kernels` for the list)"
                 ))
             })?;
-            analyzer.analyze_cached(&kernel)
+            analyzer.analyze(&kernel)
         }
     }
     .map_err(|e| err(e.to_string()))?;
     if args.json {
-        return Ok(format!("{}\n", reply.to_json()));
+        return Ok(format!("{}\n", outcome.to_json()));
     }
-    let outcome = match reply {
-        iolb_core::AnalysisReply::Computed { outcome, .. } => outcome,
-        iolb_core::AnalysisReply::Cached { .. } => {
-            unreachable!("text-mode analyses never attach the result cache")
-        }
-    };
-    {
-        let mut text = outcome.report.to_string();
-        if let Some(d) = &outcome.report.analysis.degradation {
-            text.push_str(&format!(
-                "\nNOTE: degraded result — the \"{}\" budget tripped after {}/{} candidate \
-                 jobs. The bound above is valid but may be weaker than the full analysis; \
-                 raise the budget to tighten it.\n",
-                d.interrupt.code(),
-                d.sweep_completed,
-                d.sweep_total,
-            ));
-        }
-        Ok(text)
+    let mut text = outcome.report.to_string();
+    if let Some(d) = &outcome.report.analysis.degradation {
+        text.push_str(&format!(
+            "\nNOTE: degraded result — the \"{}\" budget tripped after {}/{} candidate \
+             jobs. The bound above is valid but may be weaker than the full analysis; \
+             raise the budget to tighten it.\n",
+            d.interrupt.code(),
+            d.sweep_completed,
+            d.sweep_total,
+        ));
     }
+    Ok(text)
 }
 
 /// Parsed `check` options.
@@ -944,30 +911,6 @@ mod tests {
             doc.get("q_asymptotic").and_then(Json::as_str),
             Some("2*Ni*Nj*Nk*S^(-1/2)")
         );
-    }
-
-    #[test]
-    fn analyze_json_replays_byte_identically_from_the_result_cache() {
-        let args = |extra: &[&str]| {
-            let mut v = vec![
-                "analyze".to_string(),
-                "--kernel".to_string(),
-                "atax".to_string(),
-                "--json".to_string(),
-            ];
-            v.extend(extra.iter().map(|s| s.to_string()));
-            v
-        };
-        let first = run(&args(&[])).unwrap();
-        let replay = run(&args(&[])).unwrap();
-        // Byte-identical including the engine_stats trailer: a cached
-        // reply is the exact document of the producing run.
-        assert_eq!(first, replay, "cache replay must be byte-identical");
-        // Opting out recomputes: the report half must agree, while the
-        // per-run engine_stats (wall clock) legitimately differ.
-        let report_half = |s: &str| s[..s.find("\"engine_stats\"").expect("stats")].to_string();
-        let opt_out = run(&args(&["--no-result-cache"])).unwrap();
-        assert_eq!(report_half(&first), report_half(&opt_out));
     }
 
     #[test]

@@ -42,7 +42,7 @@
 use crate::bound::Instance;
 use crate::driver::{analyze_interruptible, Analysis, AnalysisOptions};
 use crate::report::Report;
-use crate::result_cache::{AnalysisFingerprint, Claim, ResultCache, Tier};
+use crate::result_cache::AnalysisFingerprint;
 use crate::tightness::{TightnessOptions, TightnessReport};
 use crate::workload::{PreparedWorkload, Workload, WorkloadError};
 use iolb_poly::json::Json;
@@ -88,7 +88,6 @@ impl From<WorkloadError> for AnalyzeError {
 pub struct Analyzer {
     engine: Option<Arc<EngineCtx>>,
     cache_capacity: Option<usize>,
-    cache_enabled: Option<bool>,
     parallel: Option<bool>,
     depth: Option<usize>,
     cache_param: Option<String>,
@@ -99,7 +98,6 @@ pub struct Analyzer {
     options_override: Option<AnalysisOptions>,
     deadline: Option<Duration>,
     budget: Option<Budget>,
-    result_cache: Option<Arc<ResultCache>>,
 }
 
 impl Analyzer {
@@ -112,8 +110,7 @@ impl Analyzer {
     /// Runs the analysis in an existing session instead of a fresh one
     /// (reuses its warm cache; required when the workload holds polyhedral
     /// objects built in that session). [`Analyzer::cache_capacity`] cannot
-    /// apply retroactively and is ignored for a reused session;
-    /// [`Analyzer::cache_enabled`] *is* applied to it.
+    /// apply retroactively and is ignored for a reused session.
     pub fn engine(mut self, engine: Arc<EngineCtx>) -> Self {
         self.engine = Some(engine);
         self
@@ -126,12 +123,6 @@ impl Analyzer {
     /// [`Analyzer::engine`] supplies a session.
     pub fn cache_capacity(mut self, entries: usize) -> Self {
         self.cache_capacity = Some(entries);
-        self
-    }
-
-    /// Enables or disables the session's query cache (default: enabled).
-    pub fn cache_enabled(mut self, enabled: bool) -> Self {
-        self.cache_enabled = Some(enabled);
         self
     }
 
@@ -211,14 +202,6 @@ impl Analyzer {
         self
     }
 
-    /// Serves repeats through a content-addressed result cache: see
-    /// [`Analyzer::analyze_cached`]. The plain [`Analyzer::analyze`] path
-    /// ignores the cache entirely.
-    pub fn result_cache(mut self, cache: Arc<ResultCache>) -> Self {
-        self.result_cache = Some(cache);
-        self
-    }
-
     /// The **analysis fingerprint** of this request: a 128-bit content
     /// address over everything that determines the serialized report —
     /// the workload's canonical key ([`Workload::cache_key`]), the
@@ -274,61 +257,6 @@ impl Analyzer {
         Some(AnalysisFingerprint::from_raw(fp.finish()))
     }
 
-    /// Like [`Analyzer::analyze`], but consults the configured
-    /// [result cache](Analyzer::result_cache) first. A cached reply carries
-    /// the exact serialized document of the run that produced it —
-    /// byte-identical to computing fresh. Concurrent identical requests
-    /// coalesce into one computation (singleflight). Degraded or
-    /// interrupted outcomes are never stored; a failed or degraded leader
-    /// hands its waiters back to the claim loop so a later, un-budgeted
-    /// request recomputes in full.
-    pub fn analyze_cached<W: Workload + ?Sized>(
-        &self,
-        workload: &W,
-    ) -> Result<AnalysisReply, AnalyzeError> {
-        let Some(cache) = &self.result_cache else {
-            return Ok(AnalysisReply::Computed {
-                outcome: Box::new(self.analyze(workload)?),
-                fingerprint: None,
-            });
-        };
-        let Some(fingerprint) = self.fingerprint(workload) else {
-            return Ok(AnalysisReply::Computed {
-                outcome: Box::new(self.analyze(workload)?),
-                fingerprint: None,
-            });
-        };
-        match cache.claim(fingerprint) {
-            Claim::Hit(hit) => Ok(AnalysisReply::Cached {
-                json: hit.json,
-                fingerprint,
-                tier: hit.tier,
-                coalesced: false,
-            }),
-            Claim::Coalesced(hit) => Ok(AnalysisReply::Cached {
-                json: hit.json,
-                fingerprint,
-                tier: hit.tier,
-                coalesced: true,
-            }),
-            Claim::Leader(guard) => {
-                // An error or panic drops the guard, which wakes the
-                // waiters empty-handed — nothing is ever cached on those
-                // paths.
-                let outcome = self.analyze(workload)?;
-                if outcome.analysis().degradation.is_none() {
-                    guard.publish(Arc::new(outcome.to_json()));
-                } else {
-                    drop(guard);
-                }
-                Ok(AnalysisReply::Computed {
-                    outcome: Box::new(outcome),
-                    fingerprint: Some(fingerprint),
-                })
-            }
-        }
-    }
-
     /// Generic defaults for a user program over `params`: every parameter
     /// is assumed `≥ 8` and the heuristic instance sets it to 2000 (the
     /// order of magnitude of the PolyBench LARGE datasets, so non-trivial
@@ -377,9 +305,8 @@ impl Analyzer {
     /// Trace generation honours the request's
     /// [budget](Analyzer::budget)/[deadline](Analyzer::deadline) and the
     /// options' trace-length budget: an oversized instance degrades to a
-    /// skipped report entry instead of hanging the request. This path never
-    /// consults the [result cache](Analyzer::result_cache) — the plain
-    /// report's bytes (and its cache entries) stay unchanged.
+    /// skipped report entry instead of hanging the request. The plain
+    /// report's bytes stay unchanged.
     pub fn analyze_with_tightness<W: Workload + ?Sized>(
         &self,
         workload: &W,
@@ -404,12 +331,7 @@ impl Analyzer {
         tightness_options: Option<&TightnessOptions>,
     ) -> Result<AnalysisOutcome, AnalyzeError> {
         let engine = match &self.engine {
-            Some(engine) => {
-                if let Some(enabled) = self.cache_enabled {
-                    engine.set_cache_enabled(enabled);
-                }
-                engine.clone()
-            }
+            Some(engine) => engine.clone(),
             None => {
                 let defaults = EngineConfig::default();
                 let cache_capacity = self.cache_capacity.unwrap_or(defaults.cache_capacity);
@@ -420,7 +342,6 @@ impl Analyzer {
                     projection_cache_capacity: defaults
                         .projection_cache_capacity
                         .min(cache_capacity),
-                    cache_enabled: self.cache_enabled.unwrap_or(true),
                     ..defaults
                 })
             }
@@ -666,69 +587,11 @@ impl AnalysisOutcome {
         Json::Obj(fields)
     }
 
-    /// [`AnalysisOutcome::json`] as one compact line: the bytes the result
-    /// cache stores and the daemon serves.
+    /// [`AnalysisOutcome::json`] as one compact line: the bytes `iolb
+    /// analyze --json` prints and the daemon's result cache stores and
+    /// serves.
     pub fn to_json(&self) -> String {
         self.json().render()
-    }
-}
-
-/// What [`Analyzer::analyze_cached`] produced: a fresh computation (with
-/// the live [`AnalysisOutcome`]) or a cached document.
-pub enum AnalysisReply {
-    /// Computed in this request. `fingerprint` is `Some` when the request
-    /// was cacheable (and, for clean results, the document is now stored).
-    Computed {
-        /// The live outcome (boxed: an `AnalysisOutcome` is large, and the
-        /// `Cached` variant is two words).
-        outcome: Box<AnalysisOutcome>,
-        /// The request's content address, when cacheable.
-        fingerprint: Option<AnalysisFingerprint>,
-    },
-    /// Served from the result cache (or a coalesced leader computation):
-    /// the exact serialized document of the producing run.
-    Cached {
-        /// The cached `AnalysisOutcome::to_json` document.
-        json: Arc<String>,
-        /// The request's content address.
-        fingerprint: AnalysisFingerprint,
-        /// Which tier served it.
-        tier: Tier,
-        /// Whether this request waited on a concurrent leader
-        /// (singleflight) rather than reading a stored entry.
-        coalesced: bool,
-    },
-}
-
-impl AnalysisReply {
-    /// Whether the reply was served without computing.
-    pub fn cached(&self) -> bool {
-        matches!(self, AnalysisReply::Cached { .. })
-    }
-
-    /// The request's content address, when it was cacheable.
-    pub fn fingerprint(&self) -> Option<AnalysisFingerprint> {
-        match self {
-            AnalysisReply::Computed { fingerprint, .. } => *fingerprint,
-            AnalysisReply::Cached { fingerprint, .. } => Some(*fingerprint),
-        }
-    }
-
-    /// The live outcome, for freshly computed replies.
-    pub fn outcome(&self) -> Option<&AnalysisOutcome> {
-        match self {
-            AnalysisReply::Computed { outcome, .. } => Some(outcome.as_ref()),
-            AnalysisReply::Cached { .. } => None,
-        }
-    }
-
-    /// The serialized JSON document — byte-identical whether computed or
-    /// cached.
-    pub fn to_json(&self) -> String {
-        match self {
-            AnalysisReply::Computed { outcome, .. } => outcome.to_json(),
-            AnalysisReply::Cached { json, .. } => (**json).clone(),
-        }
     }
 }
 
@@ -804,20 +667,17 @@ mod tests {
     }
 
     #[test]
-    fn cache_capacity_and_toggle_reach_the_session() {
-        let outcome = Analyzer::new()
-            .cache_capacity(0)
-            .analyze_with(streaming_dfg)
-            .unwrap();
-        assert_eq!(outcome.cache_entries, 0);
+    fn zero_cache_capacity_runs_uncached_with_the_same_result() {
+        let cached = Analyzer::new().analyze_with(streaming_dfg).unwrap();
         let uncached = Analyzer::new()
-            .cache_enabled(false)
+            .cache_capacity(0)
             .analyze_with(streaming_dfg)
             .unwrap();
         assert_eq!(uncached.cache_entries, 0);
         assert_eq!(uncached.stats.FEASIBILITY_CACHE_HITS, 0);
+        assert_eq!(uncached.stats.PROJECTION_CACHE_HITS, 0);
         assert_eq!(
-            outcome.analysis().q_low.to_string(),
+            cached.analysis().q_low.to_string(),
             uncached.analysis().q_low.to_string(),
             "cache configuration must never change the result"
         );
@@ -826,8 +686,8 @@ mod tests {
     #[test]
     fn zero_query_hit_rates_serialise_as_null() {
         // Regression: a request whose session saw zero queries of some kind
-        // (disabled cache, idle session) must emit `null` hit rates — a 0/0
-        // division would put `NaN`, which is not valid JSON, in the report.
+        // (an idle session) must emit `null` hit rates — a 0/0 division
+        // would put `NaN`, which is not valid JSON, in the report.
         let outcome = Analyzer::new()
             .parallel(false)
             .analyze_with(streaming_dfg)

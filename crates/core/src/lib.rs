@@ -87,7 +87,7 @@ pub mod tightness;
 pub mod wavefront;
 pub mod workload;
 
-pub use analyzer::{AnalysisOutcome, AnalysisReply, AnalyzeError, Analyzer};
+pub use analyzer::{AnalysisOutcome, AnalyzeError, Analyzer};
 pub use bound::{Instance, LowerBound, Technique};
 pub use driver::{analyze, analyze_interruptible, Analysis, AnalysisOptions, Degradation};
 pub use oi::{OiSummary, Regime};

@@ -8,7 +8,9 @@
 //! the canonicalized workload, the option knobs, the report
 //! [`crate::report::SCHEMA_VERSION`] and the engine version
 //! (see [`crate::Analyzer::fingerprint`]). A cached reply is byte-identical
-//! to the computed one, because it *is* the computed one.
+//! to the computed one, because it *is* the computed one. The `iolb serve`
+//! daemon is the one client: its request path claims, serves and publishes
+//! entries.
 //!
 //! Three layers, consulted in order by [`ResultCache::claim`]:
 //!
@@ -323,11 +325,6 @@ impl ResultCache {
             disk,
             stats: StatsCells::default(),
         }))
-    }
-
-    /// A memory-only cache with default sizing.
-    pub fn in_memory() -> Arc<ResultCache> {
-        ResultCache::new(ResultCacheConfig::default()).expect("memory-only cache cannot fail")
     }
 
     /// Claims a fingerprint: a [`Claim::Hit`] from a tier, a
@@ -733,7 +730,7 @@ mod tests {
 
     #[test]
     fn singleflight_coalesces_and_failed_leader_hands_over() {
-        let cache = ResultCache::in_memory();
+        let cache = ResultCache::new(ResultCacheConfig::default()).unwrap();
         // First claim leads.
         let Claim::Leader(guard) = cache.claim(fp(7)) else {
             panic!("expected leader");
@@ -757,7 +754,7 @@ mod tests {
 
     #[test]
     fn concurrent_claims_coalesce_on_one_leader() {
-        let cache = ResultCache::in_memory();
+        let cache = ResultCache::new(ResultCacheConfig::default()).unwrap();
         let Claim::Leader(guard) = cache.claim(fp(9)) else {
             panic!("expected leader");
         };

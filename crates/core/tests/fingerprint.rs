@@ -232,7 +232,7 @@ fn execution_knobs_are_excluded_and_overrides_opt_out() {
         Some(base)
     );
     assert_eq!(
-        Analyzer::new().cache_enabled(false).fingerprint(&w),
+        Analyzer::new().cache_capacity(0).fingerprint(&w),
         Some(base)
     );
     // Budgets can only produce degraded (never-stored) results, so they

@@ -78,15 +78,6 @@ impl DfgPath {
     pub fn preimage(&self, d: &BasicSet) -> BasicSet {
         self.relation.preimage(d)
     }
-
-    /// The set of target-space points reachable through this path
-    /// (`R_{S'→S}(D_{S'})` in Algorithm 3, restricted to the target domain).
-    pub fn image_in_target(&self, source_domain: &BasicSet, target_domain: &BasicSet) -> BasicSet {
-        self.relation
-            .intersect_domain(source_domain)
-            .range()
-            .intersect(target_domain)
-    }
 }
 
 impl fmt::Display for DfgPath {

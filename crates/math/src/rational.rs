@@ -15,14 +15,13 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 ///
 /// Release builds compile plain `i128` arithmetic to wrapping instructions,
 /// which would turn an overflow into a silently *wrong* exact number — fatal
-/// for the feasibility and redundancy verdicts built on top of it. Every
-/// [`Rational`] operation therefore uses checked arithmetic and starts this
-/// unwind (via [`std::panic::resume_unwind`], so no panic hook fires: an
-/// overflow is a recoverable resource limit, not a bug report). Callers that
-/// feed potentially large coefficients into rational computations — the
-/// LP-based redundancy elimination in the polyhedral engine, for instance —
-/// catch it with [`RationalOverflow::catch`] and fall back to a path that
-/// does not need the result.
+/// for the verdicts built on top of it. Every [`Rational`] operation
+/// therefore uses checked arithmetic and starts this unwind (via
+/// [`std::panic::resume_unwind`], so no panic hook fires: an overflow is a
+/// recoverable resource limit, not a bug report). Callers that feed
+/// potentially large coefficients into rational computations catch it with
+/// [`RationalOverflow::catch`] and fall back to a path that does not need
+/// the result.
 ///
 /// ```
 /// use iolb_math::{Rational, RationalOverflow};

@@ -25,14 +25,13 @@
 //! ([`crate::engine::EngineConfig::cache_capacity`], surfaced as the CLI's
 //! `--cache-cap`): once full, new results are simply not stored (the cache
 //! never evicts, which keeps lookups cheap and behaviour deterministic).
-//! Disabling a session's cache also clears it — a disabled cache holds no
-//! memory.
+//! A session created with `cache_capacity: 0` and
+//! `projection_cache_capacity: 0` runs uncached and holds no entries.
 
 use crate::affine::Constraint;
 use crate::fxhash::{Fingerprint, FingerprintMap};
 use crate::stats::Counters;
 use iolb_symbol::Poly;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::RwLock;
 
 /// Domain separators so the three query kinds (and the parts within a query)
@@ -87,8 +86,8 @@ impl<V: Clone> Sharded<V> {
     fn clear(&self) {
         for s in &self.shards {
             let mut shard = s.write().unwrap();
-            // Release the backing allocation too: a cleared (or disabled)
-            // cache must not keep its high-water-mark memory resident.
+            // Release the backing allocation too: a cleared cache must not
+            // keep its high-water-mark memory resident.
             *shard = FingerprintMap::default();
         }
     }
@@ -98,12 +97,11 @@ impl<V: Clone> Sharded<V> {
     }
 }
 
-/// One session's memoization state: three sharded fingerprint→result maps
-/// plus the enabled flag. Owned by [`crate::engine::EngineCtx`]; use the
-/// session facade (`set_cache_enabled`, `clear_cache`, `cache_len`) from
-/// outside the crate.
+/// One session's memoization state: sharded fingerprint→result maps for
+/// the three scalar query kinds and for projections. Owned by
+/// [`crate::engine::EngineCtx`]; use the session facade (`clear_cache`,
+/// `cache_len`) from outside the crate.
 pub(crate) struct QueryCache {
-    enabled: AtomicBool,
     feasibility: Sharded<bool>,
     entailment: Sharded<bool>,
     count: Sharded<Option<Poly>>,
@@ -118,23 +116,14 @@ impl QueryCache {
     /// non-zero budgets still store a few entries; the true ceiling is
     /// within one entry per shard of the budget). A capacity of 0 disables
     /// storage for that group entirely.
-    pub(crate) fn new(capacity: usize, projection_capacity: usize, enabled: bool) -> Self {
+    pub(crate) fn new(capacity: usize, projection_capacity: usize) -> Self {
         let shard_cap = capacity.div_ceil(SHARDS * KINDS);
         QueryCache {
-            enabled: AtomicBool::new(enabled),
             feasibility: Sharded::new(shard_cap),
             entailment: Sharded::new(shard_cap),
             count: Sharded::new(shard_cap),
             projection: Sharded::new(projection_capacity.div_ceil(SHARDS)),
         }
-    }
-
-    pub(crate) fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     pub(crate) fn clear(&self) {
@@ -148,8 +137,7 @@ impl QueryCache {
         self.feasibility.len() + self.entailment.len() + self.count.len() + self.projection.len()
     }
 
-    /// Memoizes a feasibility query. `compute` runs on a miss (or when the
-    /// cache is disabled).
+    /// Memoizes a feasibility query. `compute` runs on a miss.
     pub(crate) fn feasibility(
         &self,
         stats: &Counters,
@@ -157,9 +145,6 @@ impl QueryCache {
         nvars: usize,
         compute: impl FnOnce() -> bool,
     ) -> bool {
-        if !self.is_enabled() {
-            return compute();
-        }
         let mut fp = Fingerprint::new(tag::FEASIBILITY);
         fp.add(&nvars);
         fp.add(&sys);
@@ -182,9 +167,6 @@ impl QueryCache {
         target: &Constraint,
         compute: impl FnOnce() -> bool,
     ) -> bool {
-        if !self.is_enabled() {
-            return compute();
-        }
         let mut fp = Fingerprint::new(tag::ENTAILMENT);
         fp.add(&nvars);
         fp.add(&sys);
@@ -210,9 +192,6 @@ impl QueryCache {
         ctx: &[Constraint],
         compute: impl FnOnce() -> Option<Poly>,
     ) -> Option<Poly> {
-        if !self.is_enabled() {
-            return compute();
-        }
         let mut fp = Fingerprint::new(tag::COUNT);
         fp.add(&dim);
         fp.add(&sys);
@@ -243,9 +222,6 @@ impl QueryCache {
         idx: usize,
         compute: impl FnOnce(Vec<Constraint>) -> Vec<Constraint>,
     ) -> Vec<Constraint> {
-        if !self.is_enabled() {
-            return compute(sys);
-        }
         let mut fp = Fingerprint::new(tag::PROJECTION);
         fp.add(&idx);
         fp.add(&sys);
@@ -271,9 +247,6 @@ impl QueryCache {
         nvars: usize,
         compute: impl FnOnce(Vec<Constraint>) -> bool,
     ) -> bool {
-        if !self.is_enabled() {
-            return compute(sys);
-        }
         let mut fp = Fingerprint::new(tag::FEASIBILITY);
         fp.add(&nvars);
         fp.add(&sys);
@@ -292,7 +265,7 @@ impl QueryCache {
 mod tests {
     use super::*;
     use crate::affine::LinExpr;
-    use crate::engine::EngineCtx;
+    use crate::engine::{EngineConfig, EngineCtx};
 
     fn c(k: i128) -> Constraint {
         Constraint::ge0(LinExpr::constant(1, k))
@@ -317,13 +290,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_always_computes_and_holds_nothing() {
-        let e = EngineCtx::new();
-        e.query_cache()
-            .feasibility(e.counters(), &[c(103)], 1, || true);
-        assert_eq!(e.cache_len(), 1);
-        e.set_cache_enabled(false);
-        assert_eq!(e.cache_len(), 0, "disabling must clear resident entries");
+    fn zero_capacity_cache_always_computes_and_holds_nothing() {
+        let e = EngineCtx::with_config(EngineConfig {
+            cache_capacity: 0,
+            projection_cache_capacity: 0,
+            ..EngineConfig::default()
+        });
         let sys = vec![c(103)];
         let mut calls = 0;
         for _ in 0..3 {
@@ -331,9 +303,16 @@ mod tests {
                 calls += 1;
                 true
             });
+            e.query_cache()
+                .projection(e.counters(), sys.clone(), 0, |sys| {
+                    calls += 1;
+                    sys
+                });
         }
-        assert_eq!(calls, 3);
+        assert_eq!(calls, 6);
         assert_eq!(e.cache_len(), 0);
+        assert_eq!(e.stats().FEASIBILITY_CACHE_HITS, 0);
+        assert_eq!(e.stats().PROJECTION_CACHE_HITS, 0);
     }
 
     #[test]

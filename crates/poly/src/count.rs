@@ -226,17 +226,38 @@ fn count_rec(
 }
 
 /// Removes inequality constraints bounding dimension `idx` that are implied
-/// by the remaining constraints. Delegates to the shared
-/// [`crate::redundancy::drop_redundant_bounds_in`] entry point (which
-/// produces exactly the output of the historical restart-loop formulation
-/// this function used to carry, with fewer entailment queries).
+/// by the remaining constraints, using the cached entailment oracle
+/// [`fm::implies_in`]. Constraints are removed one at a time (each check runs
+/// against the already-reduced system) so that one of two equivalent bounds
+/// always survives. A constraint found non-removable can never *become*
+/// removable after later removals (implication by a subset is stronger than
+/// by a superset), so this single forward scan removes exactly the
+/// constraints a restart-on-removal loop would, with a linear instead of
+/// quadratic number of entailment queries.
 fn drop_redundant_bounds(
     engine: &EngineCtx,
     constraints: Vec<Constraint>,
     idx: usize,
     nvars: usize,
 ) -> Vec<Constraint> {
-    crate::redundancy::drop_redundant_bounds_in(engine, constraints, idx, nvars)
+    let mut current = constraints;
+    let mut i = 0;
+    while i < current.len() {
+        let c = &current[i];
+        if c.kind != ConstraintKind::Inequality || c.expr.var_coeff(idx) == 0 {
+            i += 1;
+            continue;
+        }
+        let mut rest: Vec<Constraint> = current.clone();
+        rest.remove(i);
+        if fm::implies_in(engine, &rest, nvars, c) {
+            // Re-examine index i: the next constraint shifted into this slot.
+            current = rest;
+        } else {
+            i += 1;
+        }
+    }
+    current
 }
 
 /// Picks the dominating bound among candidates: the greatest lower bound or
@@ -461,5 +482,86 @@ mod tests {
         // N = 10, T = 3: t=0 -> i in [1,9] (9 pts); t=1 -> [2,8] (7); t=2 -> [3,7] (5).
         assert_eq!(eval(&c, &[("N", 10), ("T", 3)]), 21);
         assert_eq!(s.enumerate(&[("N", 10), ("T", 3)], 15).len(), 21);
+    }
+
+    fn var(n: usize, i: usize) -> LinExpr {
+        LinExpr::var(n, i)
+    }
+    fn cst(n: usize, c: i128) -> LinExpr {
+        LinExpr::constant(n, c)
+    }
+
+    /// The restart-on-removal formulation of [`drop_redundant_bounds`], kept
+    /// as the reference for the single forward scan.
+    fn restart_loop_reference(
+        engine: &EngineCtx,
+        constraints: Vec<Constraint>,
+        idx: usize,
+        nvars: usize,
+    ) -> Vec<Constraint> {
+        let mut current = constraints;
+        loop {
+            let mut removed = false;
+            for i in 0..current.len() {
+                let c = &current[i];
+                if c.kind != ConstraintKind::Inequality || c.expr.var_coeff(idx) == 0 {
+                    continue;
+                }
+                let mut rest: Vec<Constraint> = current.clone();
+                rest.remove(i);
+                if fm::implies_in(engine, &rest, nvars, c) {
+                    current = rest;
+                    removed = true;
+                    break;
+                }
+            }
+            if !removed {
+                return current;
+            }
+        }
+    }
+
+    #[test]
+    fn single_pass_matches_restart_loop() {
+        let e = engine();
+        // Bounds on x with several redundant shadows: x >= 0 (twice, once
+        // scaled), x >= -3 (implied), x <= N, x <= N + 5 (implied), plus an
+        // unrelated equality and a y bound that must survive.
+        let n = |k: i128| LinExpr::param(2, "N").add(&cst(2, k));
+        let sys = vec![
+            Constraint::ge0(var(2, 0)),
+            Constraint::ge0(var(2, 0).scale(2).add(&cst(2, 1))),
+            Constraint::ge0(var(2, 0).add(&cst(2, 3))),
+            Constraint::ge0(n(0).sub(&var(2, 0))),
+            Constraint::ge0(n(5).sub(&var(2, 0))),
+            Constraint::ge0(var(2, 1)),
+            Constraint::eq(var(2, 1).sub(&cst(2, 4))),
+        ];
+        let fast = drop_redundant_bounds(&e, sys.clone(), 0, 2);
+        let reference = restart_loop_reference(&e, sys, 0, 2);
+        assert_eq!(fast, reference);
+        // The implied shadows are gone. Note the integer-style entailment:
+        // 2x + 1 >= 0 implies x >= 0 (x <= -1 contradicts x >= -1/2), so
+        // x >= 0 is itself dropped and the scaled bound survives.
+        assert!(fast.contains(&Constraint::ge0(var(2, 0).scale(2).add(&cst(2, 1)))));
+        assert!(fast.contains(&Constraint::ge0(n(0).sub(&var(2, 0)))));
+        assert!(!fast.contains(&Constraint::ge0(var(2, 0))));
+        assert!(!fast.contains(&Constraint::ge0(var(2, 0).add(&cst(2, 3)))));
+    }
+
+    #[test]
+    fn equivalent_bounds_keep_exactly_one() {
+        let e = engine();
+        // Two syntactically different but equivalent lower bounds: the
+        // one-at-a-time discipline must keep exactly one of them.
+        let sys = vec![
+            Constraint::ge0(var(1, 0).sub(&cst(1, 2))),
+            Constraint::ge0(var(1, 0).scale(3).sub(&cst(1, 6))),
+            Constraint::ge0(cst(1, 9).sub(&var(1, 0))),
+        ];
+        let fast = drop_redundant_bounds(&e, sys.clone(), 0, 1);
+        let reference = restart_loop_reference(&e, sys, 0, 1);
+        assert_eq!(fast, reference);
+        assert_eq!(fast.len(), 2, "one of the two equivalent bounds dropped");
     }
 }

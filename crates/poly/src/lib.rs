@@ -62,7 +62,6 @@ pub mod interner;
 pub mod json;
 pub mod map;
 pub mod parser;
-pub mod redundancy;
 pub mod set;
 pub mod space;
 pub mod stats;

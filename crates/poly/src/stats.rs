@@ -90,10 +90,9 @@ counters! {
     COUNT_CALLS / count_calls / bump_count_call,
     /// Cardinality computations answered from the cache.
     COUNT_CACHE_HITS / count_cache_hits / bump_count_cache_hit,
-    /// Exact-simplex solves issued by `redundancy` for LP-based pruning.
-    LP_CALLS / lp_calls / bump_lp_call,
-    /// Constraints proven redundant and dropped by an LP solve.
-    LP_DROPPED_CONSTRAINTS / lp_dropped_constraints / bump_lp_dropped_constraint,
+    /// Always 0: the engine runs no LP solves (structural dedup is its only
+    /// prune pass). Kept because the `perfbench` suite reads the field.
+    LP_CALLS / lp_calls,
     /// Feasibility eliminations where the greedy ordering heuristic picked a
     /// variable other than the fixed highest-index default.
     GREEDY_REORDERS / greedy_reorders / bump_greedy_reorder,
@@ -118,10 +117,10 @@ impl Counters {
     }
 }
 
-/// `hits / total`, or `None` when no query of the kind ran at all — a
-/// disabled cache or an idle session has **no** hit rate, which is not the
-/// same thing as a 0% one (and naively dividing would put a `NaN`, which is
-/// not valid JSON, into the serialised reports).
+/// `hits / total`, or `None` when no query of the kind ran at all — an idle
+/// session has **no** hit rate, which is not the same thing as a 0% one (and
+/// naively dividing would put a `NaN`, which is not valid JSON, into the
+/// serialised reports).
 fn rate(hits: u64, total: u64) -> Option<f64> {
     if total == 0 {
         None
@@ -186,7 +185,7 @@ mod tests {
         e.counters().bump_fm_elimination();
         assert_eq!(e.stats().FM_ELIMINATIONS, 2);
         let pairs = e.stats().as_pairs();
-        assert_eq!(pairs.len(), 13);
+        assert_eq!(pairs.len(), 12);
         assert!(pairs.iter().any(|(k, _)| *k == "FM_ELIMINATIONS"));
         e.reset_stats();
         assert_eq!(e.stats(), Snapshot::default());
@@ -226,8 +225,8 @@ mod tests {
 
     #[test]
     fn hit_rates_divide_safely() {
-        // Regression: a session that saw zero queries (disabled cache, idle
-        // session) has no hit rate at all — `None`, which serialises as
+        // Regression: a session that saw zero queries (an idle session) has
+        // no hit rate at all — `None`, which serialises as
         // JSON `null` — never a 0/0 division (NaN is not valid JSON).
         let s = Snapshot::default();
         assert_eq!(s.feasibility_hit_rate(), None);

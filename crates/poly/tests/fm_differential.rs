@@ -1,24 +1,27 @@
-//! Differential fuzz oracle for the LP-exact Fourier–Motzkin core.
+//! Differential fuzz oracle for the exact Fourier–Motzkin core.
 //!
-//! Two sessions analyse the same randomly generated affine systems: one with
-//! LP redundancy pruning forced on for (almost) every system
-//! (`lp_prune_threshold: 2`), and a structural-only reference with LP pruning
-//! disabled (`lp_prune_threshold: usize::MAX`). LP pruning removes only
-//! *redundant* constraints, so every observable answer — rational
-//! feasibility, entailment, symbolic cardinality, and the redundant-bound
-//! sweep — must agree exactly between the two configurations on every seed.
+//! Three seeded corpora of 256 random affine systems each are answered twice:
+//! by the engine (`fm::is_feasible_in`, `fm::implies_in`) and by an
+//! independent reference, the exact-rational two-phase simplex of
+//! `iolb-math`. The engine decides *rational* feasibility with parameters
+//! treated as free existential variables, so the reference builds one LP per
+//! query over free columns — positional variables first, then the
+//! parameters — each split as `x = x⁺ − x⁻` because LP variables are
+//! non-negative:
 //!
-//! `ParamId`s are session-scoped, so a constraint system cannot be shared
-//! between the two sessions directly: each round generates a
-//! session-independent *spec* (plain coefficient tuples) and materializes it
-//! inside each session's scope. The generator is the same deterministic
-//! xorshift used by `interned_semantics.rs` (no external crates in this
-//! container).
+//! * feasibility: the system's rows, zero objective; infeasible iff the
+//!   simplex reports `Infeasible`;
+//! * entailment of `e ≥ 0`: the system plus the integer-style negation
+//!   `−e − 1 ≥ 0` is infeasible; an equality target `e = 0` needs both
+//!   halves, `e ≥ 0` and `−e ≥ 0`.
+//!
+//! The reference reads the session-independent *specs* (plain coefficient
+//! tuples) directly; the engine side materializes them inside its session.
+//! The generator is the same deterministic xorshift used by
+//! `interned_semantics.rs` (no external crates in this container).
 
-use iolb_poly::{
-    count, fm, redundancy, BasicSet, Constraint, Context, EngineConfig, EngineCtx, LinExpr, Space,
-};
-use std::sync::Arc;
+use iolb_math::{LinearConstraint, LinearProgram, LpResult, Rational};
+use iolb_poly::{fm, Constraint, EngineCtx, LinExpr};
 
 /// Deterministic xorshift generator.
 struct Rng(u64);
@@ -56,7 +59,7 @@ impl ConstraintSpec {
         ConstraintSpec {
             var_coeffs: (0..nvars).map(|_| rng.range(-4, 4)).collect(),
             // Parameters appear in roughly half the constraints so both the
-            // purely existential and the parametric LP column layouts get
+            // purely existential and the parametric column layouts get
             // exercised.
             param: (rng.range(0, 1) == 1).then(|| {
                 (
@@ -88,16 +91,76 @@ impl ConstraintSpec {
         }
     }
 
-    /// The session-independent canonical form of a materialized constraint,
-    /// for comparing outputs produced in different sessions.
-    fn canon(c: &Constraint) -> (bool, Vec<i128>, Vec<i128>, i128) {
-        (
-            c.kind == iolb_poly::ConstraintKind::Equality,
-            c.expr.var_coeffs.clone(),
-            PARAMS.iter().map(|p| c.expr.param_coeff(p)).collect(),
-            c.expr.constant,
-        )
+    /// `−e ≥ 0` for the spec's expression `e`.
+    fn flipped(&self) -> ConstraintSpec {
+        ConstraintSpec {
+            var_coeffs: self.var_coeffs.iter().map(|a| -a).collect(),
+            param: self.param.map(|(p, c)| (p, -c)),
+            constant: -self.constant,
+            equality: false,
+        }
     }
+
+    /// `−e − 1 ≥ 0`: the integer-style negation of the inequality `e ≥ 0`.
+    fn negated(&self) -> ConstraintSpec {
+        let mut negation = self.flipped();
+        negation.constant -= 1;
+        negation
+    }
+
+    /// `e ≥ 0` for the spec's expression `e`, whatever its kind.
+    fn as_inequality(&self) -> ConstraintSpec {
+        ConstraintSpec {
+            equality: false,
+            ..self.clone()
+        }
+    }
+
+    /// The row `a·x ≥ −k` (or `= −k`) over the split free columns.
+    fn lp_row(&self) -> LinearConstraint {
+        let nvars = self.var_coeffs.len();
+        let ncols = nvars + PARAMS.len();
+        let mut coeffs = vec![Rational::ZERO; 2 * ncols];
+        let mut set = |col: usize, a: i128| {
+            coeffs[col] = Rational::from_int(a);
+            coeffs[ncols + col] = Rational::from_int(-a);
+        };
+        for (i, &a) in self.var_coeffs.iter().enumerate() {
+            set(i, a);
+        }
+        if let Some((p, a)) = self.param {
+            set(nvars + p, a);
+        }
+        let rhs = Rational::from_int(-self.constant);
+        if self.equality {
+            LinearConstraint::eq(coeffs, rhs)
+        } else {
+            LinearConstraint::ge(coeffs, rhs)
+        }
+    }
+}
+
+/// The reference: exact-simplex rational feasibility of a system over
+/// `nvars` variables and the free parameters.
+fn simplex_feasible(rows: &[ConstraintSpec], nvars: usize) -> bool {
+    let width = 2 * (nvars + PARAMS.len());
+    let mut lp = LinearProgram::minimize(vec![Rational::ZERO; width]);
+    for row in rows {
+        lp.add_constraint(row.lp_row());
+    }
+    lp.solve() != LpResult::Infeasible
+}
+
+/// The reference entailment: every rational point of `sys` satisfies
+/// `target`, for every parameter value.
+fn simplex_implies(sys: &[ConstraintSpec], nvars: usize, target: &ConstraintSpec) -> bool {
+    let holds = |ge: &ConstraintSpec| {
+        let mut rows = sys.to_vec();
+        rows.push(ge.negated());
+        !simplex_feasible(&rows, nvars)
+    };
+    let ge = target.as_inequality();
+    holds(&ge) && (!target.equality || holds(&ge.flipped()))
 }
 
 /// A random system of 2–8 constraints, mostly inequalities with the
@@ -108,162 +171,124 @@ fn random_system(rng: &mut Rng, nvars: usize) -> Vec<ConstraintSpec> {
     (0..n).map(|_| ConstraintSpec::random(rng, nvars)).collect()
 }
 
-fn build_all(specs: &[ConstraintSpec]) -> Vec<Constraint> {
-    specs.iter().map(ConstraintSpec::build).collect()
+/// One query round: a system over `nvars` variables and a target.
+struct Round {
+    nvars: usize,
+    sys: Vec<ConstraintSpec>,
+    target: ConstraintSpec,
 }
 
-/// Builds the two sessions under test: LP-forced and structural-only.
-fn sessions() -> (Arc<EngineCtx>, Arc<EngineCtx>) {
-    let forced = EngineCtx::with_config(EngineConfig {
-        lp_prune_threshold: 2,
-        ..EngineConfig::default()
-    });
-    let reference = EngineCtx::with_config(EngineConfig {
-        lp_prune_threshold: usize::MAX,
-        ..EngineConfig::default()
-    });
-    (forced, reference)
-}
-
-#[test]
-fn lp_pruned_feasibility_and_entailment_agree_with_structural_path() {
-    let (forced, reference) = sessions();
-    let mut rng = Rng(0xD1FF_FEA5);
+/// Answers every round with the engine (one session for the corpus, so the
+/// query cache is exercised too) and with the simplex reference, asserts
+/// that they agree, and that the corpus is two-sided: both feasibility
+/// verdicts occur, and on feasible systems both entailment verdicts occur.
+fn check_corpus(name: &str, rounds: &[Round]) {
+    let engine = EngineCtx::new();
     let mut feasible = 0usize;
-    let mut entailed = 0usize;
-    for round in 0..ROUNDS {
-        let nvars = rng.range(1, 4) as usize;
-        let sys = random_system(&mut rng, nvars);
-        let target = ConstraintSpec {
-            equality: false,
-            ..ConstraintSpec::random(&mut rng, nvars)
-        };
-
-        let run = |engine: &Arc<EngineCtx>| {
-            engine.scope(|| {
-                let built = build_all(&sys);
-                let t = target.build();
-                let e = EngineCtx::current();
-                (
-                    fm::is_feasible_in(&e, &built, nvars),
-                    fm::implies_in(&e, &built, nvars, &t),
-                )
-            })
-        };
-        let (f_forced, i_forced) = run(&forced);
-        let (f_ref, i_ref) = run(&reference);
+    let mut entailed_and_feasible = 0usize;
+    for (round, r) in rounds.iter().enumerate() {
+        let (f, i) = engine.scope(|| {
+            let built: Vec<Constraint> = r.sys.iter().map(ConstraintSpec::build).collect();
+            let e = EngineCtx::current();
+            (
+                fm::is_feasible_in(&e, &built, r.nvars),
+                fm::implies_in(&e, &built, r.nvars, &r.target.build()),
+            )
+        });
         assert_eq!(
-            f_forced, f_ref,
-            "round {round}: feasibility diverged on {sys:?}"
+            f,
+            simplex_feasible(&r.sys, r.nvars),
+            "{name} round {round}: feasibility disagrees with the simplex on {:?}",
+            r.sys
         );
         assert_eq!(
-            i_forced, i_ref,
-            "round {round}: entailment diverged on {sys:?} ⊨ {target:?}"
+            i,
+            simplex_implies(&r.sys, r.nvars, &r.target),
+            "{name} round {round}: entailment disagrees with the simplex on {:?} ⊨ {:?}",
+            r.sys,
+            r.target
         );
-        feasible += f_forced as usize;
-        entailed += i_forced as usize;
+        feasible += f as usize;
+        entailed_and_feasible += (f && i) as usize;
     }
-    // The corpus must exercise both answers of both queries, and the forced
-    // session must actually have taken the LP path — otherwise the
-    // differential proves nothing.
-    assert!(feasible > 0 && feasible < ROUNDS, "one-sided feasibility");
-    assert!(entailed > 0, "no entailment ever held");
     assert!(
-        forced.stats().LP_CALLS > 0,
-        "LP pruning never fired in the forced session"
+        feasible > 0 && feasible < rounds.len(),
+        "{name}: one-sided feasibility ({feasible}/{})",
+        rounds.len()
     );
-    assert_eq!(
-        reference.stats().LP_CALLS,
-        0,
-        "reference session must stay structural-only"
+    assert!(
+        entailed_and_feasible > 0 && entailed_and_feasible < feasible,
+        "{name}: one-sided entailment on feasible systems \
+         ({entailed_and_feasible}/{feasible})"
     );
 }
 
 #[test]
-fn lp_pruned_cardinality_agrees_with_structural_path() {
-    let (forced, reference) = sessions();
-    let ctx = Context::empty();
+fn feasibility_and_entailment_agree_with_the_simplex() {
+    let mut rng = Rng(0xD1FF_FEA5);
+    let rounds: Vec<Round> = (0..ROUNDS)
+        .map(|_| {
+            let nvars = rng.range(1, 4) as usize;
+            let sys = random_system(&mut rng, nvars);
+            let target = ConstraintSpec::random(&mut rng, nvars).as_inequality();
+            Round { nvars, sys, target }
+        })
+        .collect();
+    check_corpus("open systems", &rounds);
+}
+
+#[test]
+fn box_bounded_systems_agree_with_the_simplex() {
     let mut rng = Rng(0xCA4D_C0DE);
-    let mut counted = 0usize;
-    for round in 0..ROUNDS {
-        let nvars = rng.range(1, 3) as usize;
-        let mut sys = random_system(&mut rng, nvars);
-        // Bound every variable into a box so a decent fraction of the random
-        // systems fall into the exactly-countable class.
-        for i in 0..nvars {
-            let mut lo = vec![0; nvars];
-            lo[i] = 1;
-            sys.push(ConstraintSpec {
-                var_coeffs: lo.clone(),
-                param: None,
-                constant: 0,
-                equality: false,
-            });
-            let mut hi = lo;
-            hi[i] = -1;
-            sys.push(ConstraintSpec {
-                var_coeffs: hi,
-                param: None,
-                constant: rng.range(1, 6),
-                equality: false,
-            });
-        }
-        let run = |engine: &Arc<EngineCtx>| {
-            engine.scope(|| {
-                let dims: Vec<String> = (0..nvars).map(|i| format!("d{i}")).collect();
-                let dim_refs: Vec<&str> = dims.iter().map(|s| s.as_str()).collect();
-                let set = BasicSet::from_constraints(Space::new("F", &dim_refs), build_all(&sys));
-                count::card_basic_in(&EngineCtx::current(), &set, &ctx)
-            })
-        };
-        let c_forced = run(&forced);
-        let c_ref = run(&reference);
-        // `Poly` is string-keyed, so the comparison is session-independent.
-        assert_eq!(
-            c_forced, c_ref,
-            "round {round}: cardinality diverged on {sys:?}"
-        );
-        counted += c_forced.is_some() as usize;
-    }
-    assert!(counted > 0, "no system was ever exactly countable");
-    assert!(
-        forced.stats().LP_CALLS > 0,
-        "LP pruning never fired in the forced session"
-    );
+    let rounds: Vec<Round> = (0..ROUNDS)
+        .map(|_| {
+            let nvars = rng.range(1, 3) as usize;
+            let mut sys = random_system(&mut rng, nvars);
+            // Bound every variable into a box, so a larger share of the
+            // feasible systems is bounded and entails its targets.
+            for i in 0..nvars {
+                let mut lo = vec![0; nvars];
+                lo[i] = 1;
+                sys.push(ConstraintSpec {
+                    var_coeffs: lo.clone(),
+                    param: None,
+                    constant: 0,
+                    equality: false,
+                });
+                let mut hi = lo;
+                hi[i] = -1;
+                sys.push(ConstraintSpec {
+                    var_coeffs: hi,
+                    param: None,
+                    constant: rng.range(1, 6),
+                    equality: false,
+                });
+            }
+            let target = ConstraintSpec::random(&mut rng, nvars).as_inequality();
+            Round { nvars, sys, target }
+        })
+        .collect();
+    check_corpus("box-bounded systems", &rounds);
 }
 
 #[test]
-fn redundant_bound_sweep_is_config_independent() {
-    // `redundancy::drop_redundant_bounds_in` is an entailment-driven sweep;
-    // the engine configuration (LP pruning on or off underneath the
-    // entailment oracle) must never change which bounds it removes.
-    let (forced, reference) = sessions();
+fn equality_targets_check_both_halves_against_the_simplex() {
     let mut rng = Rng(0xB0D5_5EED);
-    let mut dropped = 0usize;
-    for round in 0..ROUNDS {
-        let nvars = rng.range(1, 3) as usize;
-        let sys = random_system(&mut rng, nvars);
-        let idx = rng.range(0, nvars as i128 - 1) as usize;
-        let run = |engine: &Arc<EngineCtx>| {
-            engine.scope(|| {
-                redundancy::drop_redundant_bounds_in(
-                    &EngineCtx::current(),
-                    build_all(&sys),
-                    idx,
-                    nvars,
-                )
-                .iter()
-                .map(ConstraintSpec::canon)
-                .collect::<Vec<_>>()
-            })
-        };
-        let out_forced = run(&forced);
-        let out_ref = run(&reference);
-        assert_eq!(
-            out_forced, out_ref,
-            "round {round}: redundant-bound sweep diverged on {sys:?} (idx {idx})"
-        );
-        dropped += (out_forced.len() < sys.len()) as usize;
-    }
-    assert!(dropped > 0, "the sweep never dropped anything");
+    let rounds: Vec<Round> = (0..ROUNDS)
+        .map(|_| {
+            let nvars = rng.range(1, 3) as usize;
+            let sys = random_system(&mut rng, nvars);
+            // `e = 0` for one of the system's own constraints `e`: implied
+            // outright when `e` is an equality of the system, and only half
+            // implied (`e ≥ 0`) when it is an inequality the rest does not
+            // pin from above.
+            let pick = rng.range(0, sys.len() as i128 - 1) as usize;
+            let target = ConstraintSpec {
+                equality: true,
+                ..sys[pick].clone()
+            };
+            Round { nvars, sys, target }
+        })
+        .collect();
+    check_corpus("equality targets", &rounds);
 }

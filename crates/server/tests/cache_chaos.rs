@@ -256,33 +256,3 @@ fn degraded_heat_3d_results_are_never_cached() {
     assert_eq!(report_of(&clean), report_of(&replay));
     server.shutdown();
 }
-
-/// Restart round trip at the server level: a daemon with `--cache-dir`
-/// serves a request computed by a *previous* daemon over the same
-/// directory as `cached: true`, byte-identically.
-#[test]
-fn a_restarted_daemon_replays_from_its_cache_dir() {
-    let dir = scratch_dir("restart");
-    let config = || ServerConfig {
-        workers: 2,
-        cache_dir: Some(dir.clone()),
-        ..ServerConfig::default()
-    };
-    let first = Server::start(config());
-    let cold = first.handle_line(r#"{"id": 1, "kernel": "atax"}"#);
-    assert!(cold.contains("\"cached\":false"), "{cold}");
-    first.shutdown();
-
-    let second = Server::start(config());
-    let warm = second.handle_line(r#"{"id": 2, "kernel": "atax"}"#);
-    assert!(warm.contains("\"cached\":true"), "{warm}");
-    assert_eq!(stats_counter(&second, "result_cache", "disk_hits"), 1);
-    let report_of = |response: &str| {
-        let at = response.find("\"report\":").expect("report field");
-        let end = response.find(",\"server\":").expect("server field");
-        response[at..end].to_string()
-    };
-    assert_eq!(report_of(&cold), report_of(&warm));
-    second.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}

@@ -92,9 +92,9 @@
 //! * **Memoization** ([`poly::cache`]): feasibility, entailment and symbolic
 //!   cardinality queries are memoized per session, keyed by fingerprints of
 //!   the *exact* query inputs — a cached answer is bit-identical to
-//!   recomputation, so the cache can never change a result. Capacity and
-//!   enablement are per-session ([`EngineConfig`]); [`poly::stats`] counts
-//!   operations and hit rates.
+//!   recomputation, so the cache can never change a result. Capacity is
+//!   per-session ([`EngineConfig`]; capacity 0 runs uncached);
+//!   [`poly::stats`] counts operations and hit rates.
 //! * **Parallel driver** ([`core::driver`]): candidate-bound derivation is
 //!   independent per (parametrization depth, statement) pair, so
 //!   `AnalysisOptions { parallel: true, .. }` (the default) fans those jobs
@@ -131,9 +131,9 @@ pub use iolb_poly::{Budget, CancelToken, EngineConfig, EngineCtx, EngineInterrup
 pub mod prelude {
     pub use iolb_core::{
         analyze, analyze_interruptible, Analysis, AnalysisFingerprint, AnalysisOptions,
-        AnalysisOutcome, AnalysisReply, AnalyzeError, Analyzer, CachePoint, Degradation,
-        DiskTierConfig, GeneratedTrace, Instance, InstanceTightness, OiSummary, Regime, Report,
-        ResultCache, ResultCacheConfig, TightnessOptions, TightnessReport, Workload,
+        AnalysisOutcome, AnalyzeError, Analyzer, CachePoint, Degradation, DiskTierConfig,
+        GeneratedTrace, Instance, InstanceTightness, OiSummary, Regime, Report, ResultCache,
+        ResultCacheConfig, TightnessOptions, TightnessReport, Workload,
     };
     pub use iolb_dfg::{genpaths, Dfg, GenPathsOptions};
     pub use iolb_poly::{

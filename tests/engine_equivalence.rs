@@ -14,7 +14,7 @@ fn cached_parallel_q_low_matches_serial_uncached_on_every_kernel() {
     for kernel in iolb::polybench::all_kernels() {
         let serial = Analyzer::new()
             .parallel(false)
-            .cache_enabled(false)
+            .cache_capacity(0)
             .analyze(&kernel)
             .unwrap();
         let fast = Analyzer::new().parallel(true).analyze(&kernel).unwrap();
@@ -37,10 +37,12 @@ fn cached_parallel_q_low_matches_serial_uncached_on_every_kernel() {
             "{}: accepted candidate set diverged",
             kernel.name
         );
-        // The uncached session must report zero hits; its counters come from
-        // this kernel alone.
+        // The uncached session must report zero hits and hold no entries;
+        // its counters come from this kernel alone.
         assert_eq!(serial.stats.FEASIBILITY_CACHE_HITS, 0, "{}", kernel.name);
         assert_eq!(serial.stats.COUNT_CACHE_HITS, 0, "{}", kernel.name);
+        assert_eq!(serial.stats.PROJECTION_CACHE_HITS, 0, "{}", kernel.name);
+        assert_eq!(serial.cache_entries, 0, "{}", kernel.name);
     }
 }
 
@@ -188,184 +190,92 @@ fn repeated_analysis_in_one_session_is_deterministic_and_warm() {
     );
 }
 
-/// The LP pivot loop is a budget checkpoint: an expired deadline must trip
-/// `EngineInterrupt::Deadline` from *inside* an exact-simplex solve — before
-/// a single Fourier–Motzkin elimination has run — and surface as a typed,
-/// catchable interrupt rather than a wedged pivot loop.
-#[test]
-fn expired_deadline_trips_inside_lp_pivot_checkpoints() {
-    use std::time::Duration;
-
-    // Force LP pruning for essentially every system, then install an
-    // already-expired deadline. The first feasibility query reaches
-    // `redundancy::lp_prune` during its prune pass, and the pivot callback
-    // raises before any elimination happens.
-    let engine = EngineCtx::with_config(EngineConfig {
-        lp_prune_threshold: 2,
-        ..EngineConfig::default()
-    });
-    engine.install_budget(Budget::none().deadline_in(Duration::ZERO));
-    let result = engine.scope(|| {
-        EngineInterrupt::catch(|| {
-            let s = parse_set("{ S[x, y] : 0 <= x <= 10 and x >= 1 and 0 <= y <= x + 4 }").unwrap();
-            iolb::poly::fm::is_feasible_in(&EngineCtx::current(), s.constraints(), s.dim())
-        })
-    });
-    engine.clear_budget();
-    assert_eq!(result, Err(EngineInterrupt::Deadline));
-    assert!(
-        engine.stats().LP_CALLS >= 1,
-        "the interrupt must come from inside an LP solve"
-    );
-    assert_eq!(
-        engine.stats().FM_ELIMINATIONS,
-        0,
-        "the deadline fired during pruning, before any elimination"
-    );
-}
-
-/// A deadline too short for heat-3d must degrade the analysis (or reject it
-/// outright before any bound exists) and must **never** publish the partial
-/// result to the result cache: the next uncontended request recomputes in
-/// full.
-#[test]
-fn tripped_deadline_never_publishes_to_the_result_cache() {
-    use std::time::Duration;
-
-    let cache = ResultCache::new(ResultCacheConfig::default()).unwrap();
-    let kernel = iolb::polybench::kernel_by_name("heat-3d").unwrap();
-    let rushed = Analyzer::new()
-        .parallel(false)
-        .deadline(Duration::from_millis(1))
-        .result_cache(cache.clone())
-        .analyze_cached(&kernel);
-    match rushed {
-        Ok(reply) => {
-            // The deadline tripped after the compulsory-miss term: a valid
-            // but degraded bound, computed fresh and not stored.
-            assert!(!reply.cached(), "a rushed first request cannot be served");
-            let outcome = reply.outcome().expect("computed reply has an outcome");
-            assert!(
-                outcome.analysis().degradation.is_some(),
-                "a 1ms deadline must degrade heat-3d"
-            );
-        }
-        Err(AnalyzeError::Interrupted(interrupt)) => {
-            // Tripped before any valid bound existed.
-            assert_eq!(interrupt, EngineInterrupt::Deadline);
-        }
-        Err(other) => panic!("unexpected analyze error: {other}"),
-    }
-    // Whatever happened above, nothing was published: a fresh unhurried
-    // request must compute, not replay a degraded document.
-    let relaxed = Analyzer::new()
-        .result_cache(cache.clone())
-        .analyze_cached(&kernel)
-        .unwrap();
-    assert!(
-        !relaxed.cached(),
-        "a degraded or rejected analysis must never be published to the result cache"
-    );
-    assert!(
-        relaxed
-            .outcome()
-            .expect("computed reply")
-            .analysis()
-            .degradation
-            .is_none(),
-        "the unhurried rerun must be complete"
-    );
-}
-
-/// The result-cache replay gate: every kernel is analysed three times —
-/// cold (computing and filling a disk-backed result cache), hot (the
-/// memory tier), and from a *fresh* cache over the same directory (the
-/// disk tier, i.e. a simulated daemon restart) — and the full report
-/// document must be **byte-identical** on all three paths, with the
-/// `cached` flag and serving tier correct on each.
+/// The result-cache replay gate, on the path that serves cached reports:
+/// every kernel is requested three times from an in-process daemon with a
+/// cache directory — cold (computing and filling both tiers), hot (the
+/// memory tier), and from a *restarted* daemon over the same directory (the
+/// disk tier) — and the `report` of every reply must be **byte-identical**
+/// across the three passes, with the `cached` flag correct on each.
 #[test]
 fn result_cache_replays_every_kernel_byte_identically_across_tiers() {
-    use iolb::core::result_cache::Tier;
+    use iolb_server::json::{self, Json};
+    use iolb_server::{Server, ServerConfig};
 
     let dir = std::env::temp_dir().join(format!("iolb-replay-gate-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let disk_cache = || {
-        ResultCache::new(ResultCacheConfig {
-            disk: Some(DiskTierConfig::new(dir.clone())),
-            ..ResultCacheConfig::default()
+    let start = || {
+        Server::start(ServerConfig {
+            workers: 2,
+            cache_dir: Some(dir.clone()),
+            ..ServerConfig::default()
         })
-        .expect("disk tier opens")
     };
+    // One request per kernel, answered with its `cached` flag and the
+    // report's bytes exactly as spliced into the reply. The generous
+    // timeout keeps a slow unoptimized build from degrading a cold reply.
+    let request = |server: &Server, name: &str| -> (bool, String) {
+        let reply = server.handle_line(&format!(
+            r#"{{"id": "{name}", "kernel": "{name}", "timeout_ms": 600000}}"#
+        ));
+        let doc = json::parse(&reply).unwrap_or_else(|e| panic!("{name}: {e}: {reply}"));
+        assert_eq!(
+            doc.get("status").and_then(Json::as_str),
+            Some("ok"),
+            "{name}: {reply}"
+        );
+        let Some(Json::Bool(cached)) = doc.get("cached") else {
+            panic!("{name}: no cached flag in {reply}");
+        };
+        let at = reply.find(",\"report\":").expect("report field") + ",\"report\":".len();
+        let end = reply.find(",\"server\":").expect("server field");
+        (*cached, reply[at..end].to_string())
+    };
+    let names = iolb::polybench::kernel_names();
 
-    let cache = disk_cache();
-    let kernels = iolb::polybench::all_kernels();
-
-    // Cold pass: every reply computes, carries its fingerprint, and fills
-    // both tiers.
-    let cold: Vec<String> = kernels
+    // Cold pass: every reply computes and fills both tiers.
+    let first = start();
+    let cold: Vec<String> = names
         .iter()
-        .map(|kernel| {
-            let reply = Analyzer::new()
-                .result_cache(cache.clone())
-                .analyze_cached(kernel)
-                .unwrap();
-            assert!(!reply.cached(), "{}: cold pass must compute", kernel.name);
-            assert!(reply.fingerprint().is_some(), "{}", kernel.name);
-            reply.to_json()
+        .map(|name| {
+            let (cached, report) = request(&first, name);
+            assert!(!cached, "{name}: cold pass must compute");
+            report
         })
         .collect();
 
     // Hot pass: the memory tier serves every kernel, byte for byte.
-    for (kernel, cold_json) in kernels.iter().zip(&cold) {
-        let reply = Analyzer::new()
-            .result_cache(cache.clone())
-            .analyze_cached(kernel)
-            .unwrap();
-        match &reply {
-            AnalysisReply::Cached { tier, .. } => assert_eq!(
-                *tier,
-                Tier::Memory,
-                "{}: hot pass must hit the memory tier",
-                kernel.name
-            ),
-            AnalysisReply::Computed { .. } => panic!("{}: hot pass recomputed", kernel.name),
-        }
+    for (name, cold_report) in names.iter().zip(&cold) {
+        let (cached, report) = request(&first, name);
+        assert!(cached, "{name}: hot pass recomputed");
         assert_eq!(
-            &reply.to_json(),
-            cold_json,
-            "{}: memory-tier replay is not byte-identical",
-            kernel.name
+            &report, cold_report,
+            "{name}: memory-tier replay is not byte-identical"
         );
     }
+    first.shutdown();
 
-    // Simulated restart: a fresh cache over the same directory has an
-    // empty memory tier and must replay every kernel from disk.
-    drop(cache);
-    let restarted = disk_cache();
-    for (kernel, cold_json) in kernels.iter().zip(&cold) {
-        let reply = Analyzer::new()
-            .result_cache(restarted.clone())
-            .analyze_cached(kernel)
-            .unwrap();
-        match &reply {
-            AnalysisReply::Cached { tier, .. } => assert_eq!(
-                *tier,
-                Tier::Disk,
-                "{}: post-restart pass must hit the disk tier",
-                kernel.name
-            ),
-            AnalysisReply::Computed { .. } => panic!("{}: restart pass recomputed", kernel.name),
-        }
+    // Restart: a fresh daemon over the same directory has an empty memory
+    // tier and must replay every kernel from disk.
+    let restarted = start();
+    for (name, cold_report) in names.iter().zip(&cold) {
+        let (cached, report) = request(&restarted, name);
+        assert!(cached, "{name}: restart pass recomputed");
         assert_eq!(
-            &reply.to_json(),
-            cold_json,
-            "{}: disk-tier replay is not byte-identical",
-            kernel.name
+            &report, cold_report,
+            "{name}: disk-tier replay is not byte-identical"
         );
     }
-    let stats = restarted.stats();
-    assert_eq!(stats.disk_hits, kernels.len() as u64);
-    assert_eq!(stats.disk_corrupt, 0);
+    let stats = json::parse(&restarted.handle_line(r#"{"op": "stats"}"#)).unwrap();
+    let result_cache = stats
+        .get("server_stats")
+        .and_then(|s| s.get("result_cache"))
+        .expect("result_cache stats");
+    assert_eq!(
+        result_cache.get("disk_hits"),
+        Some(&Json::Int(names.len() as i128))
+    );
+    assert_eq!(result_cache.get("disk_corrupt"), Some(&Json::Int(0)));
+    restarted.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 
