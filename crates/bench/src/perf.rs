@@ -10,11 +10,14 @@
 //! operation counts and cache hit rates — is an attributable cost, not a
 //! function of which kernels happened to run before it. A row records the
 //! median and the minimum of its samples; the suite figure is the sum of
-//! the medians, so one noisy sample cannot move it. The JSON records the
-//! per-session cache hit rates per kernel and the summed counters for the
-//! whole suite.
+//! the medians, so one noisy sample cannot move it. The timed samples run
+//! the kernels' tuned options (the parallel driver), whose jobs share one
+//! session cache, so their cache-dependent counts vary from run to run;
+//! the counters therefore come from one extra, untimed pass with the
+//! serial driver, which repeats exactly. The JSON records the per-session
+//! cache hit rates per kernel and the summed counters for the whole suite.
 
-use crate::{evaluate_kernel, KernelRow};
+use crate::{evaluate_kernel, evaluate_kernel_serial};
 use iolb_core::Analyzer;
 use iolb_poly::json::Json;
 use iolb_poly::stats::Snapshot;
@@ -35,9 +38,10 @@ pub struct PerfRow {
     pub seconds: f64,
     /// The fastest of the samples.
     pub min_seconds: f64,
-    /// The first sample's engine counters after the run.
+    /// The engine counters of the untimed serial-driver pass.
     pub stats: Snapshot,
-    /// Memoized query results resident in the session after the run.
+    /// Memoized query results resident in the session after the
+    /// serial-driver pass.
     pub cache_entries: usize,
 }
 
@@ -82,19 +86,16 @@ pub fn run(filter: &[String]) -> PerfRun {
     let mut rows: Vec<PerfRow> = Vec::new();
 
     for kernel in kernels {
-        let mut first: Option<KernelRow> = None;
         let mut samples: Vec<f64> = (0..SAMPLES)
             .map(|_| {
                 let start = Instant::now();
-                let row = evaluate_kernel(&kernel);
-                let secs = start.elapsed().as_secs_f64();
-                first.get_or_insert(row);
-                secs
+                let _row = evaluate_kernel(&kernel);
+                start.elapsed().as_secs_f64()
             })
             .collect();
         samples.sort_by(f64::total_cmp);
         let (median, min) = (samples[SAMPLES / 2], samples[0]);
-        let row = first.expect("at least one sample");
+        let row = evaluate_kernel_serial(&kernel);
         let oi = row.our_oi_up.unwrap_or(f64::NAN);
         println!(
             "{:<18} {median:>8.3}s (min {min:.3}s)  OI_up = {oi:.2}",
@@ -116,7 +117,7 @@ pub fn run(filter: &[String]) -> PerfRun {
         println!("serve_throughput: {SERVE_CLIENTS} clients x full suite ...");
         let load = crate::serve::run(SERVE_CLIENTS);
         println!(
-            "serve_throughput: {:.2} req/s, p50 {:.0} ms, p99 {:.0} ms ({} ok / {} requests), \
+            "serve_throughput: {:.2} req/s, p50 {:.3} ms, p99 {:.0} ms ({} ok / {} requests), \
              result cache {:.0}% hit, hot p50 {:.3} ms",
             load.req_per_sec,
             load.p50_ms,

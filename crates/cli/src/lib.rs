@@ -26,7 +26,8 @@
 use iolb_core::Analyzer;
 use iolb_frontend::IolbFile;
 use iolb_poly::json::Json;
-use iolb_poly::Budget;
+use iolb_poly::{Budget, EngineCtx};
+use iolb_polybench::KernelName;
 
 /// A CLI failure: a message for stderr (the process exits non-zero).
 #[derive(Debug)]
@@ -155,6 +156,16 @@ struct AnalyzeArgs {
 enum Target {
     File(String),
     Kernel(String),
+}
+
+/// Resolves `--kernel NAME` by name alone: the kernel's DFG is built when
+/// the analysis prepares it, inside the analysis session.
+fn builtin_kernel(name: &str) -> Result<KernelName, CliError> {
+    KernelName::lookup(name).ok_or_else(|| {
+        err(format!(
+            "unknown kernel `{name}` (see `iolb kernels` for the list)"
+        ))
+    })
 }
 
 /// Runs the CLI with the given arguments (excluding the program name).
@@ -326,14 +337,7 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
     let analyzer = analyzer_for(&args);
     let outcome = match &args.target {
         Target::File(path) => analyzer.analyze(&IolbFile::new(path)),
-        Target::Kernel(kname) => {
-            let kernel = iolb_polybench::kernel_by_name(kname).ok_or_else(|| {
-                err(format!(
-                    "unknown kernel `{kname}` (see `iolb kernels` for the list)"
-                ))
-            })?;
-            analyzer.analyze(&kernel)
-        }
+        Target::Kernel(kname) => analyzer.analyze(&builtin_kernel(kname)?),
     }
     .map_err(|e| err(e.to_string()))?;
     if args.json {
@@ -489,14 +493,7 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
     }
     let report = match &args.target {
         Target::File(path) => analyzer.preflight(&IolbFile::new(path)),
-        Target::Kernel(kname) => {
-            let kernel = iolb_polybench::kernel_by_name(kname).ok_or_else(|| {
-                err(format!(
-                    "unknown kernel `{kname}` (see `iolb kernels` for the list)"
-                ))
-            })?;
-            analyzer.preflight(&kernel)
-        }
+        Target::Kernel(kname) => analyzer.preflight(&builtin_kernel(kname)?),
     }
     .map_err(|e| err(e.to_string()))?;
     let text = if args.json {
@@ -699,14 +696,7 @@ fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
 
     let outcome = match &args.target {
         Target::File(path) => analyzer.analyze_with_tightness(&IolbFile::new(path), &options),
-        Target::Kernel(kname) => {
-            let kernel = iolb_polybench::kernel_by_name(kname).ok_or_else(|| {
-                err(format!(
-                    "unknown kernel `{kname}` (see `iolb kernels` for the list)"
-                ))
-            })?;
-            analyzer.analyze_with_tightness(&kernel, &options)
-        }
+        Target::Kernel(kname) => analyzer.analyze_with_tightness(&builtin_kernel(kname)?, &options),
     }
     .map_err(|e| err(e.to_string()))?;
     if args.json {
@@ -727,7 +717,9 @@ fn cmd_kernels(args: &[String]) -> Result<String, CliError> {
         [a] if a == "--json" => true,
         _ => return Err(err(format!("kernels: unexpected arguments\n\n{USAGE}"))),
     };
-    let kernels = iolb_polybench::all_kernels();
+    // Only the names, categories and parameters are read; the session
+    // keeps the DFGs the builders intern out of the process-wide fallback.
+    let kernels = EngineCtx::new().scope(iolb_polybench::all_kernels);
     if json {
         let kernel = |k: &iolb_polybench::Kernel| {
             Json::obj([

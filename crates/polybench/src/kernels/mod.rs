@@ -7,6 +7,7 @@ pub mod solvers;
 pub mod stencils;
 
 use crate::meta::Kernel;
+use iolb_core::{PreparedWorkload, Workload, WorkloadError};
 
 /// One registry entry: a kernel name and its constructor.
 type KernelBuilder = (&'static str, fn() -> Kernel);
@@ -63,15 +64,65 @@ pub fn kernel_names() -> Vec<&'static str> {
 
 /// Looks a kernel up by its PolyBench name, building only that kernel.
 pub fn kernel_by_name(name: &str) -> Option<Kernel> {
-    REGISTRY
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, build)| build())
+    KernelName::lookup(name).map(KernelName::build)
+}
+
+/// A built-in kernel resolved by name alone: a handle into the registry
+/// that builds nothing until [`Workload::prepare`] runs, inside the
+/// analysis session. [`Kernel`]'s own `Workload` impl delegates here, so
+/// both key and prepare through this one path.
+#[derive(Clone, Copy, Debug)]
+pub struct KernelName {
+    entry: &'static KernelBuilder,
+}
+
+impl KernelName {
+    /// Finds a kernel by its PolyBench name without building it.
+    pub fn lookup(name: &str) -> Option<KernelName> {
+        REGISTRY
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|entry| KernelName { entry })
+    }
+
+    /// The kernel's PolyBench name.
+    pub fn name(self) -> &'static str {
+        self.entry.0
+    }
+
+    /// Builds the kernel; its DFG binds to the calling thread's ambient
+    /// engine session.
+    pub fn build(self) -> Kernel {
+        (self.entry.1)()
+    }
+}
+
+impl Workload for KernelName {
+    fn prepare(&self) -> Result<PreparedWorkload, WorkloadError> {
+        let kernel = self.build();
+        Ok(PreparedWorkload {
+            name: kernel.name.to_string(),
+            params: kernel.params.iter().map(|p| p.to_string()).collect(),
+            options: Some(kernel.analysis_options()),
+            ops: Some(kernel.ops),
+            dfg: kernel.dfg,
+            source: None,
+        })
+    }
+
+    /// Built-in kernels are canonical by name: `prepare` rebuilds the DFG
+    /// and tuned options purely from it, so the name alone is a sound
+    /// content-address component.
+    fn cache_key(&self) -> Option<String> {
+        Some(format!("kernel:{}", self.name()))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iolb_core::Analyzer;
+    use iolb_poly::EngineCtx;
     use std::collections::BTreeSet;
 
     #[test]
@@ -98,6 +149,37 @@ mod tests {
         assert!(kernel_by_name("gemm").is_some());
         assert!(kernel_by_name("floyd-warshall").is_some());
         assert!(kernel_by_name("spmv").is_none());
+    }
+
+    #[test]
+    fn name_only_handles_key_and_prepare_like_built_kernels() {
+        for name in kernel_names() {
+            let handle = KernelName::lookup(name).expect("registered kernel");
+            assert_eq!(handle.name(), name);
+            EngineCtx::new().scope(|| {
+                let kernel = handle.build();
+                assert_eq!(handle.cache_key(), kernel.cache_key(), "{name}");
+                let analyzer = Analyzer::new();
+                let fingerprint = analyzer.fingerprint(&handle);
+                assert!(fingerprint.is_some(), "{name}");
+                assert_eq!(fingerprint, analyzer.fingerprint(&kernel), "{name}");
+
+                let prepared = handle.prepare().expect("built-in kernel prepares");
+                assert_eq!(prepared.name, kernel.name);
+                assert_eq!(prepared.params, kernel.params, "{name}");
+                assert_eq!(prepared.ops.as_ref(), Some(&kernel.ops), "{name}");
+                let options = prepared.options.expect("tuned options");
+                let tuned = kernel.analysis_options();
+                assert_eq!(
+                    options.max_parametrization_depth, tuned.max_parametrization_depth,
+                    "{name}"
+                );
+                assert_eq!(options.instances, tuned.instances, "{name}");
+                assert_eq!(prepared.dfg.nodes().len(), kernel.dfg.nodes().len());
+                assert_eq!(prepared.dfg.edges().len(), kernel.dfg.edges().len());
+            });
+        }
+        assert!(KernelName::lookup("spmv").is_none());
     }
 
     #[test]

@@ -25,6 +25,6 @@ pub mod kernels;
 pub mod meta;
 pub mod schedules;
 
-pub use kernels::{all_kernels, kernel_by_name, kernel_names};
+pub use kernels::{all_kernels, kernel_by_name, kernel_names, KernelName};
 pub use meta::{Category, Kernel};
 pub use schedules::{trace, ScheduleTrace};

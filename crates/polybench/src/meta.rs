@@ -2,7 +2,7 @@
 //! count, manually derived OI, previously published / paper-reported bounds)
 //! and the LARGE dataset sizes used for Figure 6.
 
-use iolb_core::AnalysisOptions;
+use iolb_core::{AnalysisOptions, PreparedWorkload, Workload, WorkloadError};
 use iolb_dfg::Dfg;
 use iolb_symbol::Poly;
 use std::collections::BTreeMap;
@@ -66,30 +66,20 @@ pub struct Kernel {
     pub parametrization_depth: usize,
 }
 
-/// A built-in kernel is an [`iolb_core::Workload`]. `prepare` **rebuilds**
-/// the kernel by name inside the analysis session, so a `Kernel` value
-/// obtained in any session (or none) can be handed to the `Analyzer`
-/// safely — the pre-built [`Kernel::dfg`] field is ignored by this path.
-impl iolb_core::Workload for Kernel {
-    fn prepare(&self) -> Result<iolb_core::PreparedWorkload, iolb_core::WorkloadError> {
-        let fresh = crate::kernels::kernel_by_name(self.name).ok_or_else(|| {
-            iolb_core::WorkloadError::new(format!("unknown built-in kernel `{}`", self.name))
-        })?;
-        Ok(iolb_core::PreparedWorkload {
-            name: fresh.name.to_string(),
-            params: fresh.params.iter().map(|p| p.to_string()).collect(),
-            options: Some(fresh.analysis_options()),
-            ops: Some(fresh.ops.clone()),
-            dfg: fresh.dfg,
-            source: None,
-        })
+/// A built-in kernel is an [`iolb_core::Workload`] through its
+/// [`KernelName`](crate::KernelName): `prepare` **rebuilds** the kernel by
+/// name inside the analysis session, so a `Kernel` value obtained in any
+/// session (or none) can be handed to the `Analyzer` safely — the pre-built
+/// [`Kernel::dfg`] field is ignored by this path.
+impl Workload for Kernel {
+    fn prepare(&self) -> Result<PreparedWorkload, WorkloadError> {
+        crate::KernelName::lookup(self.name)
+            .ok_or_else(|| WorkloadError::new(format!("unknown built-in kernel `{}`", self.name)))?
+            .prepare()
     }
 
-    /// Built-in kernels are canonical by name: `prepare` rebuilds the DFG
-    /// and tuned options purely from it, so the name alone is a sound
-    /// content-address component.
     fn cache_key(&self) -> Option<String> {
-        Some(format!("kernel:{}", self.name))
+        crate::KernelName::lookup(self.name)?.cache_key()
     }
 }
 

@@ -17,9 +17,10 @@
 //!   `schema_version`ed document `iolb analyze --json` prints, next to
 //!   queue/latency timings). Every reply is a [`json::Json`] value; the
 //!   module is [`iolb_poly::json`], re-exported.
-//! * **Execution** ([`server`]): a bounded request queue with `overloaded`
-//!   backpressure, a worker-thread pool, per-request timeouts, and a
-//!   graceful drain on shutdown.
+//! * **Execution** ([`server`]): result-cache hits answered on the
+//!   connection thread, a bounded request queue with `overloaded`
+//!   backpressure for the misses, a worker-thread pool, per-request
+//!   timeouts, and a graceful drain on shutdown.
 //! * **Sessions**: every request runs in its own engine session drawn from
 //!   an [`iolb_core::pool::SessionPool`] — warm interner/cache reuse keyed
 //!   by configuration fingerprint, LRU-evicted, with sessions recycled (or

@@ -538,10 +538,14 @@ fn parse_simulate(
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceTimings {
     /// Milliseconds the request waited in the queue before a worker picked
-    /// it up.
+    /// it up; 0 for a result-cache hit, which is answered on the
+    /// connection thread and never queues.
     pub queue_ms: f64,
-    /// Milliseconds of worker service time: session checkout + workload
-    /// preparation + analysis + response rendering.
+    /// Milliseconds of service time. A computed report: the worker's
+    /// session checkout + workload preparation + analysis + response
+    /// rendering. A result-cache hit: resolving, classifying,
+    /// fingerprinting and the lookup on the connection thread, or the
+    /// worker's claim when the entry was stored while the request queued.
     pub service_ms: f64,
     /// Milliseconds of the driver run alone (the `AnalysisOutcome`'s
     /// wall-clock; excludes preparation).

@@ -156,11 +156,16 @@ fn chaos_load_never_wedges_a_worker() {
 
     // Post-chaos probe: one concurrent cheap request per worker must
     // succeed — proving every worker survived and returned to service.
+    // Each probe asks for its own `cache_size`, so none can be answered
+    // from the result cache without a worker.
     let probes: Vec<_> = (0..workers)
         .map(|i| {
             let server = server.clone();
             std::thread::spawn(move || {
-                server.handle_line(&format!(r#"{{"id": {i}, "kernel": "atax"}}"#))
+                server.handle_line(&format!(
+                    r#"{{"id": {i}, "kernel": "atax", "cache_size": {}}}"#,
+                    4096 + i
+                ))
             })
         })
         .collect();

@@ -127,13 +127,16 @@ fn lane_admission_is_independent() {
         default_timeout_ms: 300_000,
         ..ServerConfig::default()
     }));
-    // Saturate the sole worker plus the one large-lane slot.
+    // Saturate the sole worker plus the one large-lane slot. Each request
+    // asks for its own `cache_size`, so neither can be answered from the
+    // result cache instead of taking its place.
     let busy: Vec<_> = (0..2)
         .map(|i| {
             let server = server.clone();
             std::thread::spawn(move || {
                 server.handle_line(&format!(
-                    r#"{{"id": {i}, "kernel": "heat-3d", "timeout_ms": 2500}}"#
+                    r#"{{"id": {i}, "kernel": "heat-3d", "cache_size": {}, "timeout_ms": 2500}}"#,
+                    30_000 + i
                 ))
             })
         })
